@@ -1,15 +1,19 @@
 """Mention detection — candidate-link generation (operators S3/S6 analogue).
 
-A stateful actor-pool stage: each actor holds the broadcast tokenized catalog
-+ alias index (loaded ONCE in ``__init__`` via ``ray.get`` of a shared
-ObjectRef — the catalog is put in the object store once and mapped zero-copy
-into every worker, never re-shipped per batch).  ``__call__`` is vectorized:
-Arrow regex split for tokens, pandas merges against the alias table, numpy
-arithmetic for the link features.
+Each worker holds the broadcast tokenized catalog + alias index, loaded once
+(``ray.get`` of a shared ObjectRef — the catalog is put in the object store
+once and mapped zero-copy into every worker, never re-shipped per batch).
+The task-based stages keep one instance per worker process
+(``make_*_task_fn``); the actor-pool stages one per actor.  The batch call is
+vectorized: Arrow regex split for tokens, a CSR gather over the alias table
+for the (doc, token) -> candidate fan-out, numpy arithmetic for the link
+features.
 
 Output is the slim ``candidates`` table (FIXTURES.md F2): token lists never
 travel with candidate rows — the scoring stage looks them up from the same
-broadcast catalog by ``cand_ord``.
+broadcast catalog by ``cand_ord``.  The fused stage
+(:class:`FusedMentionScorer`) builds no table: it hands the numpy columns
+straight to the scoring kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ahrd_ray.config import TOKEN_SPLITTER_REGEX, EngineConfig
+from ahrd_ray.config import TOKEN_SPLITTER_REGEX, EngineConfig, q20
+from ahrd_ray.functions.scoring import WINNERS_SCHEMA, annotated_mask, overlap_score, score_slim
 from ahrd_ray.sources import spec
 from ahrd_ray.sources.synth import CatalogBundle
 
@@ -45,7 +50,7 @@ CANDIDATE_SCHEMA = pa.schema(
 SLIM_SCHEMA = pa.schema(
     [
         ("doc_id", pa.int64()),
-        ("lang", pa.string()),
+        ("lang", pa.dictionary(pa.int32(), pa.string())),
         ("src_code", pa.int8()),
         ("cand_ord", pa.int32()),
         ("e_rank", pa.float64()),
@@ -159,7 +164,9 @@ class MentionDetector:
         out[found] = b - (ccum[g + b] - ccum[g]) + 1
         return out
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def _links(self, batch: pa.Table) -> dict | None:
+        """Per-candidate numpy columns of ``batch`` (``row`` is the
+        candidate's doc row, nondecreasing), or None without a mention."""
         low = pc.utf8_lower(batch["text"])
         splits = pc.split_pattern_regex(low, pattern=TOKEN_SPLITTER_REGEX)
         if isinstance(splits, pa.ChunkedArray):
@@ -179,10 +186,9 @@ class MentionDetector:
             {"row": row_idx[hit_mask], "tid": tids[hit_mask]}
         ).drop_duplicates()
         if len(pairs) == 0:
-            return (SLIM_SCHEMA if self.slim else CANDIDATE_SCHEMA).empty_table()
+            return None
 
         doc_ids = batch["doc_id"].to_numpy()
-        langs = np.asarray(batch["lang"].to_pylist(), dtype=object)
         doc_lens = pc.utf8_length(batch["text"]).to_numpy(zero_copy_only=False).astype(np.int64)
 
         # per (doc, token) pair (small table): reading-order ingest position —
@@ -202,7 +208,7 @@ class MentionDetector:
         cnt = offs[p_tid + 1] - offs[p_tid]
         tot = int(cnt.sum())
         if tot == 0:
-            return (SLIM_SCHEMA if self.slim else CANDIDATE_SCHEMA).empty_table()
+            return None
         seg_off = np.repeat(np.cumsum(cnt) - cnt, cnt)
         within = np.arange(tot) - seg_off
         ords = self.alias_ords[np.repeat(offs[p_tid], cnt) + within]
@@ -210,90 +216,121 @@ class MentionDetector:
         tok_len = np.repeat(p_toklen, cnt)
         ingest = np.repeat(p_ingest, cnt)
         d = doc_ids[row].astype(np.int64)
-
-        e_rank = ((ords * spec.E_RANK_MULT_P + d * spec.E_RANK_MULT_D) % spec.E_RANK_MOD).astype(
-            np.float64
-        ) / spec.E_RANK_DIV
-        match_score = (
-            (ords * spec.MS_MULT_P + d * spec.MS_MULT_D + tok_len) % spec.MS_MOD + spec.MS_OFF
-        ).astype(np.float64)
-        span_start = ingest
-        span_end = ingest + tok_len
         cand_start = 1 + (ords % spec.CSTART_MOD)
-        cand_end = cand_start + 1 + ((ords + d) % spec.CEND_MOD)
+        return {
+            "row": row,
+            "doc_id": d,
+            "cand_ord": ords,
+            "e_rank": ((ords * spec.E_RANK_MULT_P + d * spec.E_RANK_MULT_D) % spec.E_RANK_MOD)
+            .astype(np.float64) / spec.E_RANK_DIV,
+            "match_score": (
+                (ords * spec.MS_MULT_P + d * spec.MS_MULT_D + tok_len) % spec.MS_MOD + spec.MS_OFF
+            ).astype(np.float64),
+            "span_start": ingest,
+            "span_end": ingest + tok_len,
+            "cand_start": cand_start,
+            "cand_end": cand_start + 1 + ((ords + d) % spec.CEND_MOD),
+            "doc_len": doc_lens[row],
+        }
 
+    def slim_columns(self, batch: pa.Table) -> dict | None:
+        """The slim candidate columns as numpy arrays (SLIM_SCHEMA names but
+        ``lang``, plus ``row``, the doc row in ``batch``), or None."""
+        c = self._links(batch)
+        if c is None:
+            return None
+        # validity pre-filter (M8): invalid rows contribute to no aggregate,
+        # so dropping them map-side is semantics-preserving
+        ords = c["cand_ord"]
+        ok = (
+            self.valid_of[ords]
+            & (c["span_start"] < c["span_end"])
+            & (c["cand_start"] < c["cand_end"])
+            & (c["match_score"] > 0)
+        )
+        if not ok.all():
+            c = {k: v[ok] for k, v in c.items()}
+            ords = c["cand_ord"]
+        ov_q = q20(
+            overlap_score(
+                c["span_start"].astype(np.float64),
+                c["span_end"].astype(np.float64),
+                c["doc_len"].astype(np.float64),
+                c["cand_start"].astype(np.float64),
+                c["cand_end"].astype(np.float64),
+                self.cand_len_of[ords].astype(np.float64),
+            )
+        )
+        return {
+            "row": c["row"],
+            "doc_id": c["doc_id"],
+            "src_code": self.src_code_of[ords],
+            "cand_ord": ords,
+            "e_rank": c["e_rank"],
+            "match_score": c["match_score"],
+            "ov_q": ov_q,
+            "ingest_seq": c["span_start"],
+        }
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
         if self.slim:
-            from ahrd_ray.config import q20
-            from ahrd_ray.functions.scoring import overlap_score
-
-            # validity pre-filter (M8): invalid rows contribute to no
-            # aggregate, so dropping them map-side is semantics-preserving
-            ok = (
-                self.valid_of[ords]
-                & (span_start < span_end)
-                & (cand_start < cand_end)
-                & (match_score > 0)
-            )
-            if not ok.all():
-                (row, ords, tok_len, d, ingest, e_rank, match_score,
-                 span_start, span_end, cand_start, cand_end) = (
-                    x[ok] for x in (row, ords, tok_len, d, ingest, e_rank,
-                                    match_score, span_start, span_end,
-                                    cand_start, cand_end)
-                )
-            ov_q = q20(
-                overlap_score(
-                    span_start.astype(np.float64),
-                    span_end.astype(np.float64),
-                    doc_lens[row].astype(np.float64),
-                    cand_start.astype(np.float64),
-                    cand_end.astype(np.float64),
-                    self.cand_len_of[ords].astype(np.float64),
-                )
-            )
+            c = self.slim_columns(batch)
+            if c is None:
+                return SLIM_SCHEMA.empty_table()
+            # lang as codes of the per-doc lang: rows are nondecreasing, so
+            # the docs' first-occurrence order is the candidates'
+            row = c["row"]
+            new_doc = np.diff(row, prepend=-1) != 0
+            langs = batch["lang"].take(pa.array(row[new_doc])).combine_chunks().cast(pa.string())
+            d = c["doc_id"]
             return pa.table(
                 {
                     "doc_id": pa.array(d, type=pa.int64()),
-                    "lang": pa.array(langs[row], type=pa.string()).dictionary_encode(),
-                    "src_code": pa.array(self.src_code_of[ords], type=pa.int8()),
-                    "cand_ord": pa.array(ords.astype(np.int32), type=pa.int32()),
-                    "e_rank": pa.array(e_rank, type=pa.float64()),
-                    "match_score": pa.array(match_score, type=pa.float64()),
-                    "ov_q": pa.array(ov_q, type=pa.float64()),
-                    "ingest_seq": pa.array(ingest.astype(np.int32), type=pa.int32()),
+                    "lang": langs.dictionary_encode().take(pa.array(np.cumsum(new_doc) - 1)),
+                    "src_code": pa.array(c["src_code"], type=pa.int8()),
+                    "cand_ord": pa.array(c["cand_ord"].astype(np.int32), type=pa.int32()),
+                    "e_rank": pa.array(c["e_rank"], type=pa.float64()),
+                    "match_score": pa.array(c["match_score"], type=pa.float64()),
+                    "ov_q": pa.array(c["ov_q"], type=pa.float64()),
+                    "ingest_seq": pa.array(c["ingest_seq"].astype(np.int32), type=pa.int32()),
                     "spart": pa.array((d % self.num_parts).astype(np.int32), type=pa.int32()),
                 }
             )
 
+        c = self._links(batch)
+        if c is None:
+            return CANDIDATE_SCHEMA.empty_table()
+        d, ords = c["doc_id"], c["cand_ord"]
+        langs = np.asarray(batch["lang"].to_pylist(), dtype=object)
         return pa.table(
             {
                 "doc_id": pa.array(d, type=pa.int64()),
-                "lang": pa.array(langs[row], type=pa.string()),
+                "lang": pa.array(langs[c["row"]], type=pa.string()),
                 "source": pa.array(self.sources[ords], type=pa.string()),
                 "cand_ord": pa.array(ords, type=pa.int64()),
-                "e_rank": pa.array(e_rank, type=pa.float64()),
-                "match_score": pa.array(match_score, type=pa.float64()),
-                "span_start": pa.array(span_start, type=pa.int32()),
-                "span_end": pa.array(span_end, type=pa.int32()),
-                "cand_start": pa.array(cand_start, type=pa.int32()),
-                "cand_end": pa.array(cand_end, type=pa.int32()),
-                "ingest_seq": pa.array(ingest, type=pa.int64()),
-                "doc_len": pa.array(doc_lens[row], type=pa.int64()),
+                "e_rank": pa.array(c["e_rank"], type=pa.float64()),
+                "match_score": pa.array(c["match_score"], type=pa.float64()),
+                "span_start": pa.array(c["span_start"], type=pa.int32()),
+                "span_end": pa.array(c["span_end"], type=pa.int32()),
+                "cand_start": pa.array(c["cand_start"], type=pa.int32()),
+                "cand_end": pa.array(c["cand_end"], type=pa.int32()),
+                "ingest_seq": pa.array(c["span_start"], type=pa.int64()),
+                "doc_len": pa.array(c["doc_len"], type=pa.int64()),
                 "spart": pa.array((d % self.num_parts).astype(np.int32), type=pa.int32()),
             }
         )
 
 
 class FusedMentionScorer(MentionDetector):
-    """Fused mention-detection + scoring actor (zero-shuffle fast path).
+    """Fused mention detection + scoring (zero-shuffle fast path).
 
     Every candidate of a document is generated from the document's own row,
     so the complete per-doc scoring state (HSP dedup, totals, cumulative
     token sums, top-k, winner) is local to the batch — no doc-keyed shuffle
-    is needed when candidates come from mention detection.  This stage fuses
-    detection and scoring into one actor `__call__`, emitting winner rows
-    directly; the groupby-based :mod:`ahrd_ray.stages.score` path remains the
-    general operator for externally-supplied candidate tables and is proven
+    is needed.  Each chunk's numpy candidate columns go straight into the
+    kernel (:func:`score_slim`), which emits the winner rows as Arrow; the
+    groupby-based :mod:`ahrd_ray.stages.score` path remains the general
+    operator for externally-supplied candidate tables and is proven
     equivalent by the shared DuckDB oracle and a pytest equality check.
     """
 
@@ -306,36 +343,18 @@ class FusedMentionScorer(MentionDetector):
 
     def __init__(self, catalog_ref, cfg: EngineConfig, annotated_shorts=None):
         super().__init__(catalog_ref, cfg, slim=True)
-        self.annotated_shorts = annotated_shorts
+        self.has_attr = annotated_mask(self.bundle.arrays, annotated_shorts)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ahrd_ray.functions.scoring import score_partition_slim
-
         outs = []
         for off in range(0, len(batch), self.CHUNK_DOCS):
             chunk = batch.slice(off, self.CHUNK_DOCS)
-            slim = MentionDetector.__call__(self, chunk)
-            winners = score_partition_slim(
-                slim.to_pandas(),
-                self.bundle.arrays,
-                self.cfg,
-                annotated_shorts=self.annotated_shorts,
-            )
-            outs.append(
-                pa.Table.from_pandas(winners, preserve_index=False)
-                .replace_schema_metadata(None)  # plain Arrow schema: keeps block
-                # schemas hashable for Ray's schema dedup (no pandas dict)
-            )
-        if not outs:
-            from ahrd_ray.functions.scoring import score_partition_slim as _sps
-
-            empty = _sps(
-                MentionDetector.__call__(self, batch).to_pandas(),
-                self.bundle.arrays,
-                self.cfg,
-            )
-            return pa.Table.from_pandas(empty, preserve_index=False).replace_schema_metadata(None)
-        return pa.concat_tables(outs)
+            cols = self.slim_columns(chunk)
+            if cols is not None:
+                outs.append(
+                    score_slim(cols, chunk["lang"], self.bundle.arrays, self.cfg, self.has_attr)
+                )
+        return pa.concat_tables(outs) if outs else WINNERS_SCHEMA.empty_table()
 
 
 # Per-worker-process instance cache for task-based execution.  Plain tasks

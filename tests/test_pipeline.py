@@ -413,6 +413,7 @@ def _assert_matches_oracle(name, sf=SF):
     import pyarrow as pa
 
     from ahrd_ray.pipelines.queriesdef import registry
+    from scripts.compare_queries import TABLES
 
     fn, sql = registry()[name]
     assert sql is not None
@@ -424,7 +425,7 @@ def _assert_matches_oracle(name, sf=SF):
     else:
         rdf = res.to_pandas()
     con = duckdb.connect()
-    for t in ["events", "orders", "documents", "lineitem", "customer"]:
+    for t in TABLES:
         con.sql(f"CREATE VIEW {t} AS SELECT * FROM '{sf}/{t}.parquet'")
     odf = con.sql(sql).df()
     cols = sorted(rdf.columns)
@@ -433,6 +434,13 @@ def _assert_matches_oracle(name, sf=SF):
     b = odf[cols].sort_values(cols, kind="mergesort").reset_index(drop=True)
     assert len(a) == len(b) and len(a) > 0
     pd.testing.assert_frame_equal(a, b, check_exact=True)
+
+
+@pytest.mark.parametrize("name", ["kg_winners", "kg_winners_annotated", "kg_triples"])
+def test_kg_oracle(ray_session, name):
+    """The fused detect+score kernel (plain and prefer-annotated winners)
+    and the triples built on it match their DuckDB oracles."""
+    _assert_matches_oracle(name)
 
 
 def test_sliding_window_oracle(ray_session):

@@ -1,0 +1,127 @@
+"""The fused detect+score kernel without Ray: its packed sort helper, and a
+batch whose middle chunk yields no candidate."""
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ahrd_ray.config import DEFAULT_CONFIG
+from ahrd_ray.functions.scoring import WINNERS_SCHEMA, packed_lexsort, score_partition
+from ahrd_ray.sources import spec
+from ahrd_ray.sources.synth import build_catalog
+from ahrd_ray.stages.candidates import FusedMentionScorer, MentionDetector
+
+ADJ = ("red", "blue", "old", "new", "small")
+NOUN = ("gear", "widget", "ring", "plate", "bolt", "rod", "anvil", "gizmo")
+
+
+@st.composite
+def sort_keys(draw):
+    """1-4 keys over the same rows: offset int columns, negated integral
+    floats (a DESC key), dyadic fractions and >62-bit ranges.  Small value
+    ranges make ties common."""
+    n = draw(st.integers(0, 40))
+    keys = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["int", "neg_float", "fraction", "wide"]))
+        if kind == "wide":
+            vals = st.sampled_from([-(2**62), -1, 0, 2**40, 2**62 - 1])
+            keys.append(np.asarray(draw(st.lists(vals, min_size=n, max_size=n)), dtype=np.int64))
+            continue
+        base = draw(st.integers(-(2**40), 2**40))
+        span = draw(st.integers(0, 9))
+        v = np.asarray(draw(st.lists(st.integers(0, span), min_size=n, max_size=n)), dtype=np.int64)
+        if kind == "int":
+            keys.append(v + base)
+        elif kind == "neg_float":
+            keys.append(-(v + base).astype(np.float64))
+        else:
+            keys.append((v + base % 1024) / 1024.0)
+    return keys
+
+
+@settings(max_examples=300, deadline=None)
+@given(sort_keys())
+def test_packed_lexsort_matches_lexsort(keys):
+    """Same order as np.lexsort: ties keep row order; integral keys pack,
+    non-integral and >62-bit keys fall back."""
+    assert np.array_equal(packed_lexsort(keys), np.lexsort(keys))
+    # with a row-unique key the unstable sort gives the same order
+    uniq = [np.arange(len(keys[0]))] + keys
+    assert np.array_equal(packed_lexsort(uniq, stable=False), np.lexsort(uniq))
+
+
+def test_packed_lexsort_bit_budget(monkeypatch):
+    """Keys needing 62 bits are packed; 64 bits take the lexsort fallback."""
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    rng = np.random.default_rng(0)
+    for bits, fallback in ((31, False), (32, True)):
+        keys = [rng.integers(0, 2**bits, 500), rng.integers(-(2**bits), 0, 500)]
+        keys[0][:2] = 0, 2**bits - 1  # each key spans exactly `bits` bits
+        keys[1][:2] = -(2**bits), -1
+        calls.clear()
+        assert np.array_equal(packed_lexsort(keys), lexsort(keys))
+        assert bool(calls) == fallback
+
+
+@pytest.fixture(scope="module")
+def bundle(tmp_path_factory):
+    """A 40-entity catalog whose corpus vocab is filled by doc 0's filler
+    words, so the aliases never reach docs 64-127."""
+    d = tmp_path_factory.mktemp("cat")
+    n = 40
+    pq.write_table(
+        pa.table(
+            {
+                "p_partkey": np.arange(n, dtype=np.int64),
+                "p_name": [f"{ADJ[i % 5]} {NOUN[i % 8]}" for i in range(n)],
+                "p_brand": [f"Brand#{i % 25 + 1}" for i in range(n)],
+                "p_type": ["LARGE", "SMALL", "PROMO"] * 13 + ["LARGE"],
+                "p_size": pa.array(np.arange(n) % 50 + 1, type=pa.int32()),
+            }
+        ),
+        d / "part.parquet",
+    )
+    texts = [" ".join(f"f{i:03d}" for i in range(400))]
+    texts += [f"the {ADJ[i % 5]} {NOUN[i % 8]} and a {NOUN[(i * 3) % 8]}" for i in range(1, 64)]
+    texts += ["zzzq qqqz"] * 64
+    vocab = sorted({w for t in texts for w in t.split()})[: spec.ALIAS_MOD]
+    batch = pa.table(
+        {
+            "doc_id": np.arange(128, dtype=np.int64),
+            "lang": [("en", "de", "zh")[i % 3] for i in range(128)],
+            "text": texts,
+        }
+    )
+    return build_catalog(str(d), DEFAULT_CONFIG, vocab), batch
+
+
+@pytest.mark.parametrize("annotated", [False, True])
+def test_fused_scorer_survives_candidate_free_chunk(bundle, annotated):
+    """A 64-doc chunk without candidates inside a 128-doc batch yields the
+    same fixed winners schema (and the same slim-candidates schema), and the
+    winners equal the general pandas kernel's over the full candidate
+    table."""
+    bundle, batch = bundle
+    cfg = DEFAULT_CONFIG
+    shorts = frozenset(bundle.arrays.cand_short[::3]) if annotated else None
+    detect = MentionDetector(bundle, cfg, slim=True)
+    none, some = detect(batch.slice(64)), detect(batch.slice(0, 64))
+    assert none.num_rows == 0 and none.schema == some.schema
+
+    got = FusedMentionScorer(bundle, cfg, shorts)(batch)
+    assert got.schema == WINNERS_SCHEMA
+    assert got["doc_id"].to_pylist() == list(range(64))
+
+    cands = MentionDetector(bundle, cfg)(batch).to_pandas()
+    ref = score_partition(cands, bundle.arrays, cfg, annotated_shorts=shorts, carry_cols=("lang",))
+    pd.testing.assert_frame_equal(got.to_pandas(), ref[got.column_names], check_exact=True)
+
+    empty = FusedMentionScorer(bundle, cfg, shorts)(batch.slice(64))
+    assert empty.num_rows == 0 and empty.schema == WINNERS_SCHEMA
