@@ -6,13 +6,31 @@ Commands:
     query    NAME --sf-dir DIR [--limit N]           run a registry query
     list                                             list registry queries
 
-Owns its Ray session (the library never calls ray.init).
+Starts and stops its own Ray session unless one is already running (the
+library never calls ray.init).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+
+def write_parquet_rows(ds, out: str) -> int:
+    """Write ``ds`` under ``out`` and return the rows written, summed from
+    the footers of the files this write added: ``ds.count()`` would run the
+    whole plan a second time."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    before = set(os.listdir(out)) if os.path.isdir(out) else set()
+    ds.write_parquet(out)
+    return sum(
+        pq.read_metadata(os.path.join(out, f)).num_rows
+        for f in os.listdir(out)
+        if f.endswith(".parquet") and f not in before
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -56,7 +74,8 @@ def main(argv: list[str] | None = None) -> int:
 
     import ray
 
-    if not ray.is_initialized():
+    owns_session = not ray.is_initialized()
+    if owns_session:
         ray.init(address="local", num_cpus=args.num_cpus, include_dashboard=False)
     try:
         if args.cmd == "triples":
@@ -80,8 +99,7 @@ def main(argv: list[str] | None = None) -> int:
                 ds = kg.kg_triples_checkpointed(ctx, args.out + ".ckpt")
             else:
                 ds = kg.kg_triples(ctx)
-            ds.write_parquet(args.out)
-            print(f"wrote {ds.count()} triples to {args.out}")
+            print(f"wrote {write_parquet_rows(ds, args.out)} triples to {args.out}")
         elif args.cmd == "query":
             from ahrd_ray.pipelines.queriesdef import registry
 
@@ -102,7 +120,8 @@ def main(argv: list[str] | None = None) -> int:
                 df = result.limit(args.limit).to_pandas()
             print(df.head(args.limit).to_string())
     finally:
-        ray.shutdown()
+        if owns_session:
+            ray.shutdown()
     return 0
 
 

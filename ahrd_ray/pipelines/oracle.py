@@ -3226,11 +3226,12 @@ FROM cand_pairs WHERE levenshtein(id_a, id_b) <= 1"""
 
 def sql_running_totals() -> str:
     """Cumulative window + lag (stages/generic.running_totals): int64
-    2^-20-unit running sum, bit-exact in any partitioning."""
+    2^-20-unit running sum, bit-exact in any partitioning.  DuckDB sums
+    BIGINT into HUGEINT, so the window is cast back to the engine's int64."""
     return """SELECT user_id, event_id, ts,
-  sum(CAST(floor(value * 1048576.0 + 0.5) AS BIGINT)) OVER (
+  CAST(sum(CAST(floor(value * 1048576.0 + 0.5) AS BIGINT)) OVER (
     PARTITION BY user_id ORDER BY ts, event_id
-    ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) AS running_units,
+    ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) AS BIGINT) AS running_units,
   lag(value) OVER (PARTITION BY user_id ORDER BY ts, event_id) AS prev_value
 FROM events"""
 

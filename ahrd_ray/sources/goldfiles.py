@@ -366,10 +366,13 @@ def eval_scores_file(
         bundle = get_broadcast(catalog_ref)
         return _tag(eval_lists_partition(df, bundle.arrays, cfg), 1)
 
+    # materialized before the union for the reason given in
+    # stages/evaluate.py eval_scores (a blocking sort next to live reads)
     lists = (
         candidates_dataset(ctx, from_pages=False)
         .groupby("spart")
         .map_groups(fn, batch_format="pandas")
+        .materialize()
     )
     docs = ray.data.read_parquet(
         f"{ctx.sf_dir}/documents.parquet", columns=["doc_id"]

@@ -70,6 +70,13 @@ def build_catalog(sf_dir: str, cfg: EngineConfig, vocab: list[str]) -> CatalogBu
     Applies the per-source regex contract: description blacklist (M1), filter
     chain (M2), tokenizer + token blacklist (M3/M4).  ``valid`` mirrors
     BlastResult.isValid's description/token clauses (java :457-465).
+
+    The chains are pure functions of (source, description) and catalog
+    descriptions repeat heavily, so each chain runs once per distinct value,
+    not per entity: M1/M2 per (source, raw description), M3/M4 per (source,
+    filtered description), evaluation tokenization per filtered description
+    (equal descriptions share one frozenset).  The key carries the source
+    because each source has its own chains.
     """
     part = pq.read_table(
         f"{sf_dir}/part.parquet", columns=["p_partkey", "p_name", "p_brand", "p_type", "p_size"]
@@ -96,62 +103,51 @@ def build_catalog(sf_dir: str, cfg: EngineConfig, vocab: list[str]) -> CatalogBu
     # per blast-db); "" = global default
     short_rx = {s.name: s.short_accession_regex for s in cfg.sources}
 
-    # per-source memo of token -> passes-blacklist: the distinct token
-    # vocabulary is tiny next to the token-instance stream, and re.search
-    # per (token, pattern) instance was half of catalog-build wall time
-    tbl_memo: dict[str, dict[str, bool]] = {s.name: {} for s in cfg.sources}
-
-    def tokenize_memo(desc: str, tbl, memo: dict[str, bool]) -> list[str]:
-        """Same result set as tokenize(desc, tbl), M4 checks memoized."""
-        out = []
-        for tok in set(_SPLITTER.split(desc)):
-            tok = tok.lower()
-            if not tok:
-                continue
-            ok = memo.get(tok)
-            if ok is None:
-                ok = token_passes_blacklist(tok, tbl)
-                memo[tok] = ok
-            if ok:
-                out.append(tok)
-        return sorted(set(out))
-
     n = len(pk)
-    sources = np.empty(n, dtype=object)
-    cand_ids = np.empty(n, dtype=object)
-    shorts = np.empty(n, dtype=object)
-    raw_desc = np.empty(n, dtype=object)
-    filt_desc = np.empty(n, dtype=object)
-    valid = np.zeros(n, dtype=bool)
-    token_lists: list[list[str]] = []
-    for i in range(n):
-        src = spec.source_of_partkey(int(pk[i]))
-        sources[i] = src
-        cand_ids[i] = cand_id_of(int(pk[i]), brands[i])
-        shorts[i] = short_accession(cand_ids[i], short_rx.get(src, ""))
-        raw = decorate_description(int(pk[i]), names[i], types[i])
-        raw_desc[i] = raw
-        blk, flt, tbl = chains[src]
-        # M9 admission order (BlastResult.generateHRDCandidateForProtein,
-        # java :492-522): blacklist on the RAW description, then filter, then
-        # tokenize; valid iff description non-empty and >=1 token survives.
-        fd = apply_filters(raw, flt)
-        filt_desc[i] = fd
-        if passes_blacklist(raw, blk):
-            toks = tokenize_memo(fd, tbl, tbl_memo[src])
-            token_lists.append(toks)
-            valid[i] = fd != "" and len(toks) > 0
-        else:
-            token_lists.append([])
+    partkeys = pk.tolist()
+    sources = np.asarray([spec.source_of_partkey(k) for k in partkeys], dtype=object)
+    cand_ids = np.asarray([cand_id_of(k, b) for k, b in zip(partkeys, brands)], dtype=object)
+    shorts = np.asarray(
+        [short_accession(c, short_rx.get(s, "")) for c, s in zip(cand_ids, sources)], dtype=object
+    )
+    raw_desc = np.asarray(
+        [decorate_description(k, nm, ty) for k, nm, ty in zip(partkeys, names, types)], dtype=object
+    )
+
+    # M9 admission order (BlastResult.generateHRDCandidateForProtein,
+    # java :492-522): blacklist on the RAW description, then filter, then
+    # tokenize; valid iff description non-empty and >=1 token survives.
+    src_raw = list(zip(sources, raw_desc))
+    described = {
+        (src, raw): (apply_filters(raw, chains[src][1]), passes_blacklist(raw, chains[src][0]))
+        for src, raw in set(src_raw)
+    }
+    filt_ok = [described[k] for k in src_raw]
+    filt_desc = np.asarray([fd for fd, _ in filt_ok], dtype=object)
+
+    # M3 per (source, filtered description); M4 per (source, token), as the
+    # distinct tokens are few next to their occurrences
+    split_of = {
+        k: {t.lower() for t in _SPLITTER.split(k[1])} - {""}
+        for k in {(src, fd) for src, (fd, ok) in zip(sources, filt_ok) if ok}
+    }
+    passes = {
+        (src, t): token_passes_blacklist(t, chains[src][2])
+        for src, t in {(src, t) for (src, _), ts in split_of.items() for t in ts}
+    }
+    tokens_of = {k: tuple(sorted(t for t in ts if passes[k[0], t])) for k, ts in split_of.items()}
+    token_lists = [tokens_of[src, fd] if ok else () for src, (fd, ok) in zip(sources, filt_ok)]
+    # an empty description has no token
+    valid = np.fromiter(map(bool, token_lists), dtype=bool, count=n)
 
     # CSR token layout with a shared token-name dictionary
-    token_names_sorted = sorted({t for ts in token_lists for t in ts})
+    token_names_sorted = sorted({t for ts in tokens_of.values() for t in ts})
     code_of = {t: c for c, t in enumerate(token_names_sorted)}
     offsets = np.zeros(n + 1, dtype=np.int64)
-    codes: list[int] = []
-    for i, ts in enumerate(token_lists):
-        codes.extend(code_of[t] for t in ts)
-        offsets[i + 1] = len(codes)
+    np.cumsum(np.fromiter(map(len, token_lists), dtype=np.int64, count=n), out=offsets[1:])
+    codes = np.fromiter(
+        (code_of[t] for ts in token_lists for t in ts), dtype=np.int32, count=int(offsets[-1])
+    )
     arrays = CatalogArrays(
         cand_id=cand_ids,
         cand_short=shorts,
@@ -159,7 +155,7 @@ def build_catalog(sf_dir: str, cfg: EngineConfig, vocab: list[str]) -> CatalogBu
         description=filt_desc,
         cand_len=(spec.CAND_LEN_BASE + sizes).astype(np.int64),
         token_offsets=offsets,
-        token_codes=np.asarray(codes, dtype=np.int32),
+        token_codes=codes,
         token_names=np.asarray(token_names_sorted, dtype=object),
         valid=valid,
     )
@@ -175,13 +171,13 @@ def build_catalog(sf_dir: str, cfg: EngineConfig, vocab: list[str]) -> CatalogBu
         for w in words:
             alias.setdefault(w, []).append(i)
     alias_index = {w: np.asarray(sorted(set(v)), dtype=np.int64) for w, v in alias.items()}
-    eval_tokens = tuple(frozenset(tokenize(filt_desc[i], [])) for i in range(n))
+    eval_of = {fd: frozenset(tokenize(fd, [])) for fd in set(filt_desc)}
     return CatalogBundle(
         arrays=arrays,
         alias_index=alias_index,
         raw_description=raw_desc,
         cand_len=arrays.cand_len,
-        eval_tokens=eval_tokens,
+        eval_tokens=tuple(eval_of[fd] for fd in filt_desc),
     )
 
 

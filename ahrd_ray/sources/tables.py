@@ -35,7 +35,7 @@ def doc_token_batch(batch: pa.Table) -> pa.Table:
     low = pc.utf8_lower(batch["text"])
     splits = pc.split_pattern_regex(low, pattern=TOKEN_SPLITTER_REGEX)
     flat = splits.combine_chunks().flatten() if isinstance(splits, pa.ChunkedArray) else splits.flatten()
-    lengths = pc.list_value_length(splits).to_numpy(zero_copy_only=False)
+    lengths = pc.list_value_length(splits).fill_null(0).to_numpy(zero_copy_only=False)
     doc_ids = np.repeat(batch["doc_id"].to_numpy(), lengths)
     toks = flat.to_numpy(zero_copy_only=False)
     mask = toks != ""
@@ -57,12 +57,28 @@ def doc_tokens(sf_dir: str) -> ray.data.Dataset:
     )
 
 
+def distinct_tokens(texts: pa.Array | pa.ChunkedArray) -> pa.Array:
+    """Distinct tokens of ``texts``: the AHRD splitter + lowercase without a
+    blacklist, the same token set :func:`doc_token_batch` yields.
+
+    The text is split on the literal ``" "`` first, and only the distinct
+    pieces are lowercased and split on ``TOKEN_SPLITTER_REGEX``.  That is
+    exact: ``" "`` is one of the splitter's separators, every token is a
+    maximal run of non-separator characters, and lowercasing works per
+    character and keeps ``" "``.
+    """
+    pieces = pc.unique(pc.list_flatten(pc.split_pattern(texts, pattern=" ")))
+    splits = pc.split_pattern_regex(pc.utf8_lower(pieces), pattern=TOKEN_SPLITTER_REGEX)
+    toks = pc.list_flatten(splits)
+    return pc.unique(pc.filter(toks, pc.not_equal(toks, "")))
+
+
 def corpus_vocab(sf_dir: str) -> list[str]:
     """Sorted distinct tokens of the corpus.
 
     Small-result aggregate: the distinct set is collected to the driver and
     broadcast into the catalog alias builder (SURVEY.md §2 S5-style unique
-    collector).  At 100 TB the per-batch distinct keeps the shuffled volume
+    collector).  At 100 TB the per-block distinct keeps the shuffled volume
     at |vocab| x num_blocks, not corpus size.
 
     Only the ``kg_vocab`` registry query uses the FULL distinct set (its
@@ -72,51 +88,35 @@ def corpus_vocab(sf_dir: str) -> list[str]:
     """
 
     def batch_distinct(batch: pa.Table) -> pa.Table:
-        t = pc.unique(batch["token"])
-        return pa.table({"token": t})
+        return pa.table({"token": distinct_tokens(batch["text"])})
 
-    ds = doc_tokens(sf_dir).map_batches(batch_distinct, batch_format="pyarrow")
-    return sorted(ds.unique("token"))
+    ds = read_table(sf_dir, "documents", columns=["text"])
+    return sorted(ds.map_batches(batch_distinct, batch_format="pyarrow").unique("token"))
 
 
 def corpus_vocab_bottomk(sf_dir: str, k: int) -> list[str]:
-    """First ``k`` tokens of the sorted distinct corpus vocabulary, as a
-    distributed bottom-k — bit-identical to ``corpus_vocab(sf_dir)[:k]``
-    with O(k) state everywhere.
+    """First ``k`` tokens of the sorted distinct corpus vocabulary —
+    identical to ``corpus_vocab(sf_dir)[:k]`` with O(k) state everywhere.
 
     The flagship setup's only vocabulary consumer is the synthetic alias
     pick ``vocab[pk % ALIAS_MOD]`` guarded by ``r < len(vocab)``
     (sources/synth.py build_catalog), so the first ALIAS_MOD sorted tokens
-    fully determine the catalog.  Round 3's ``sorted(ds.unique("token"))``
-    collected the WHOLE distinct token set to the driver — billions of
-    strings at web scale.  Shape here: per-block distinct + bottom-k partial
-    (≤ k rows leave each block), then an AggregateFn whose accumulator is a
-    sorted ≤k-element list merged pairwise — the driver only ever sees one
-    O(k) list.  ``len(result) = min(|vocab|, k)`` so the ``r < len(vocab)``
+    fully determine the catalog.  Each block yields its ≤ k smallest
+    distinct tokens (:func:`distinct_tokens`, then a sort); the calling
+    process streams those with ``iter_batches`` and merges them into one
+    sorted ≤ k list, so no shuffle runs and it never holds more than O(k)
+    tokens.  ``len(result) = min(|vocab|, k)`` so the ``r < len(vocab)``
     guard behaves identically on sub-k corpora.
     """
-    import numpy as np
-
-    from ray.data.aggregate import AggregateFn
 
     def batch_bottomk(batch: pa.Table) -> pa.Table:
-        u = pc.unique(batch["token"])
-        arr = np.sort(u.to_numpy(zero_copy_only=False))[:k]
-        return pa.table({"token": pa.array(arr, type=pa.string())})
+        toks = distinct_tokens(batch["text"])
+        return pa.table({"token": toks.take(pc.array_sort_indices(toks)[:k])})
 
-    def merge(a: list, b: list) -> list:
-        return sorted(set(a) | set(b))[:k]
-
-    def acc_block(a: list, block: pa.Table) -> list:
-        return merge(a, block["token"].to_pylist())
-
-    agg = AggregateFn(
-        init=lambda _: [],
-        merge=merge,
-        accumulate_block=acc_block,
-        finalize=lambda a: a,
-        name="bottomk",
+    ds = read_table(sf_dir, "documents", columns=["text"]).map_batches(
+        batch_bottomk, batch_format="pyarrow"
     )
-    ds = doc_tokens(sf_dir).map_batches(batch_bottomk, batch_format="pyarrow")
-    out = ds.aggregate(agg)
-    return list(out["bottomk"]) if out else []
+    out: list[str] = []
+    for batch in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
+        out = sorted(set(out).union(batch["token"].to_pylist()))[:k]
+    return out

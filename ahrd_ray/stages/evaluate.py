@@ -245,10 +245,17 @@ def eval_scores(ctx, from_pages: bool = False, with_lang: bool = False) -> ray.d
         bundle = get_broadcast(catalog_ref)
         return eval_lists_partition(df, bundle.arrays, cfg)
 
+    # Materialized before the join: the groupby's sort is a blocking
+    # all-to-all that runs on the executor thread.  Fused with the join, it
+    # can start while the detector pool (2 CPUs), the join's aggregators
+    # and a `docs` read task (stalled, since the blocked thread stops
+    # draining it) hold the CPUs its sort tasks need, and the run hangs
+    # (seen at 4 CPUs in tests/test_eval_trainer.py).
     lists = (
         candidates_dataset(ctx, from_pages=from_pages)
         .groupby("spart")
         .map_groups(fn, batch_format="pandas")
+        .materialize()
     )
 
     doc_cols = ["doc_id", "text"] + (["lang"] if with_lang else [])

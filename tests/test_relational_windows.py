@@ -498,3 +498,18 @@ def test_session_hour_windows_brute_force(ray_session):
     pd.testing.assert_frame_equal(
         got.astype({"overlap_us": "int64"}), truth[got.columns].astype({"overlap_us": "int64"})
     )
+
+
+def test_running_totals_oracle_types_running_units_int64():
+    """DuckDB widens a BIGINT window sum to HUGEINT; the oracle must cast it
+    back so its schema matches the engine's int64 ``running_units``."""
+    import duckdb
+    import pyarrow as pa
+
+    from ahrd_ray.pipelines.oracle import sql_running_totals
+
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW events AS SELECT * FROM '{SF}/events.parquet'")
+    got = con.execute(sql_running_totals()).fetch_arrow_table()
+    assert got.num_rows > 0
+    assert got.schema.field("running_units").type == pa.int64()

@@ -1,5 +1,5 @@
-"""The fused detect+score kernel without Ray: its packed sort helper, and a
-batch whose middle chunk yields no candidate."""
+"""The fused detect+score kernel without Ray: its packed sort and winner
+pick helpers, and a batch whose middle chunk yields no candidate."""
 
 import numpy as np
 import pandas as pd
@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ahrd_ray.config import DEFAULT_CONFIG
-from ahrd_ray.functions.scoring import WINNERS_SCHEMA, packed_lexsort, score_partition
+from ahrd_ray.functions.scoring import (
+    WINNERS_SCHEMA,
+    packed_lexsort,
+    pick_winners,
+    score_partition,
+)
 from ahrd_ray.sources import spec
 from ahrd_ray.sources.synth import build_catalog
 from ahrd_ray.stages.candidates import FusedMentionScorer, MentionDetector
@@ -53,6 +58,29 @@ def test_packed_lexsort_matches_lexsort(keys):
     # with a row-unique key the unstable sort gives the same order
     uniq = [np.arange(len(keys[0]))] + keys
     assert np.array_equal(packed_lexsort(uniq, stable=False), np.lexsort(uniq))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 5),
+            st.sampled_from([0.0, -0.0, 0.25, 0.5, -1.0, np.inf, -np.inf, np.nan]),
+        ),
+        max_size=40,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_pick_winners_matches_lexsort(rows, rnd):
+    """Per doc: highest score (NaN last), then highest cand_ord among ties —
+    the first row per doc of the lexsort the pick replaces."""
+    seg = np.sort(np.asarray([r[0] for r in rows], dtype=np.int64))
+    score = np.asarray([r[1] for r in rows], dtype=np.float64)
+    cand = np.asarray(rnd.sample(range(1000), len(rows)), dtype=np.int64)
+    order = np.lexsort((-cand, -score, seg))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = seg[order][1:] != seg[order][:-1]
+    assert np.array_equal(pick_winners(seg, score, cand), order[first])
 
 
 def test_packed_lexsort_bit_budget(monkeypatch):
