@@ -2,7 +2,7 @@
 
 The reference loads a single YAML file into a thread-local singleton
 (``Settings.java:248-376``).  Here settings are a plain frozen dataclass that
-is (a) cheap to ship to Ray workers inside actor constructors and (b) the
+is (a) cheap to ship to Ray workers inside task closures and (b) the
 single source of truth for BOTH the Ray pipeline and the generated DuckDB
 oracle SQL (``ahrd_ray.pipelines.oracle``).
 

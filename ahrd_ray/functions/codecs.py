@@ -33,7 +33,7 @@ entropy decoders from the public specs alone:
 Reference parity note: the AHRD reference has no media path at all (its
 only binary inputs are FASTA/BLAST text); these codecs exist for the
 beyond-reference multimodal pipeline (SURVEY §6), where image payloads are
-opaque binary columns decoded inside actor-pool ``map_batches`` stages.
+opaque binary columns decoded inside task ``map_batches`` stages.
 """
 
 from __future__ import annotations
@@ -1794,6 +1794,9 @@ def decode_tiff(blob: bytes) -> np.ndarray:
         voff = off + 8 if size <= 4 else struct.unpack_from(e + "I", blob, off + 8)[0]
         code = {1: "B", 3: "H", 4: "I"}[typ]
         fields[name] = list(struct.unpack_from(e + str(cnt) + code, blob, voff))
+    missing = [t for t in ("width", "height", "strip_offsets", "strip_counts") if t not in fields]
+    if missing:
+        raise ValueError(f"missing required TIFF tag(s): {', '.join(missing)}")
     w, h = fields["width"][0], fields["height"][0]
     if fields.get("compression", [1])[0] != 1:
         raise NotImplementedError("compressed TIFF not supported")

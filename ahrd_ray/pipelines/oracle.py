@@ -933,7 +933,7 @@ def sql_salted_user_counts() -> str:
 def sql_media_dims() -> str:
     """Decode-metadata oracle for the multimodal pipeline: width/height in
     the payload containers are pure arithmetic on doc_id
-    (multimodal.payloads_dataset), so the actor-pool decode path is
+    (multimodal.payloads_dataset), so the task decode path is
     content-gated on them across all three container formats."""
     return (
         "SELECT doc_id, 32 + (doc_id % 97) AS width, 16 + (doc_id % 53) AS height"

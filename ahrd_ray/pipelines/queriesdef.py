@@ -799,7 +799,7 @@ def _generic_queries() -> dict[str, tuple[Callable, str | None]]:
             oracle.sql_distinct_users(),
         ),
         # mm_* run the REAL pure-Python decoders (P5 PNM / uncompressed BMP /
-        # ARIM fixture, rotating by doc_id % 3) through actor-pool stages;
+        # ARIM fixture, rotating by doc_id % 3) through task map stages;
         # every query emits exact integers so the decode CONTENT is
         # SQL-gated, not rows-only.  The float feature vectors and the raw
         # resized/frame payload bytes are sha256-pinned in pytest

@@ -88,8 +88,9 @@ def validate_double(values: np.ndarray) -> np.ndarray:
 class CandidateLineParser:
     """Stateful map_batches stage: text lines -> typed candidate rows.
 
-    The catalog (cand_id -> ord/source/valid) is fetched once per actor from
-    the broadcast ref; parsing is Arrow split + numpy column plucks."""
+    The catalog (cand_id -> ord/source/valid) is fetched once per worker
+    process from the broadcast ref (``per_worker``); parsing is Arrow
+    split + numpy column plucks."""
 
     def __init__(
         self,
@@ -210,15 +211,12 @@ def read_candidate_table(
     catalog_ref,
     cfg: EngineConfig,
     fmt: CandidateTableFormat | None = None,
-    concurrency: int | tuple = (2, 32),
     expect_source: str | None = None,
 ) -> ray.data.Dataset:
     """Parse an external candidate table and attach doc_len by a distributed
     join against ``documents`` (left join + per-batch null check = the
     reference's unknown-query-accession error, without materialization)."""
-    parsed = _parse_candidate_file(
-        path, catalog_ref, cfg, fmt, concurrency, expect_source
-    )
+    parsed = _parse_candidate_file(path, catalog_ref, cfg, fmt, expect_source)
     return _attach_doc_lens(parsed, sf_dir)
 
 
@@ -227,22 +225,16 @@ def _parse_candidate_file(
     catalog_ref,
     cfg: EngineConfig,
     fmt: CandidateTableFormat | None,
-    concurrency: int | tuple,
     expect_source: str | None,
 ) -> ray.data.Dataset:
+    from ahrd_ray.stages.score import per_worker
+
     fmt = fmt or CandidateTableFormat()
     lines = ray.data.read_text(path, file_extensions=["csv", "tsv", "txt"])
     return lines.map_batches(
-        CandidateLineParser,
-        fn_constructor_kwargs={
-            "catalog_ref": catalog_ref,
-            "cfg": cfg,
-            "fmt": fmt,
-            "expect_source": expect_source,
-        },
+        per_worker(CandidateLineParser, catalog_ref, cfg, fmt, expect_source),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=concurrency,
     )
 
 
@@ -294,14 +286,10 @@ def read_candidate_tables(
     hits of that db); violations raise.  The per-file PARSED streams union
     BEFORE the doc-length join, so the pipeline holds exactly one join (and
     one aggregator pool) however many source files there are — per-file
-    joins would chain and wedge small clusters.  Parser pools are sized
-    (1, 8) per file: with one pool per source, minimum footprints must sum
-    well under the cluster.
+    joins would chain and wedge small clusters.
     """
     parts = [
-        _parse_candidate_file(
-            path, catalog_ref, cfg, fmt, (1, 8), expect_source=src
-        )
+        _parse_candidate_file(path, catalog_ref, cfg, fmt, expect_source=src)
         for src, (path, fmt) in sorted(tables.items())
     ]
     out = parts[0]
@@ -513,15 +501,13 @@ def quarantine_candidate_table(
     path: str,
     catalog_ref,
     fmt: CandidateTableFormat | None = None,
-    concurrency: int | tuple = (1, 8),
 ) -> ray.data.Dataset:
     """(line, reason) quarantine table of a candidate file — one streaming
-    pass, actor pool holding the broadcast catalog id set."""
+    pass, each worker holding the broadcast catalog id set once."""
+    from ahrd_ray.stages.score import per_worker
+
     fmt = fmt or CandidateTableFormat()
     # file_extensions: skip the _DONE marker, like _parse_candidate_file
     return ray.data.read_text(path, file_extensions=["csv", "tsv", "txt"]).map_batches(
-        QuarantineParser,
-        fn_constructor_kwargs={"catalog_ref": catalog_ref, "fmt": fmt},
-        batch_format="pyarrow",
-        concurrency=concurrency,
+        per_worker(QuarantineParser, catalog_ref, fmt), batch_format="pyarrow"
     )

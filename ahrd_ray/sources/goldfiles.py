@@ -139,7 +139,9 @@ def _tokenset_strings(
 
 
 class GoldReferenceParser:
-    """map_batches stage: FASTA text lines -> (doc_id, gold, n_gold)."""
+    """map_batches callable: FASTA text lines -> (doc_id, gold, n_gold).
+    Stateless beyond its pattern tuples, so an instance ships with the
+    task."""
 
     def __init__(
         self,
@@ -212,17 +214,10 @@ def read_gold_references(
 ) -> ray.data.Dataset:
     """Gold reference table (doc_id, gold, n_gold) from a FASTA file set."""
     lines = ray.data.read_text(path, file_extensions=["fasta", "fa", "txt"])
-    return lines.map_batches(
-        GoldReferenceParser,
-        fn_constructor_kwargs={
-            "description_blacklist": tuple(description_blacklist),
-            "description_filter": tuple(description_filter),
-            "token_blacklist": tuple(token_blacklist),
-        },
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=(1, 16),
+    parser = GoldReferenceParser(
+        tuple(description_blacklist), tuple(description_filter), tuple(token_blacklist)
     )
+    return lines.map_batches(parser, batch_format="pyarrow", zero_copy_batch=True)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +361,9 @@ def eval_scores_file(
         bundle = get_broadcast(catalog_ref)
         return _tag(eval_lists_partition(df, bundle.arrays, cfg), 1)
 
-    # materialized before the union for the reason given in
-    # stages/evaluate.py eval_scores (a blocking sort next to live reads)
+    # materialized before the union, so the groupby's blocking sort runs
+    # alone: next to live reads and a join's aggregator actors its tasks
+    # can wait for CPUs forever (stages/evaluate.py eval_scores)
     lists = (
         candidates_dataset(ctx, from_pages=False)
         .groupby("spart")

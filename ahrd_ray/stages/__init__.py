@@ -1,1 +1,1 @@
-"""Ray Data stages (map_batches fns + actor classes)."""
+"""Ray Data stages (map_batches fns + per-worker callable classes)."""

@@ -3,11 +3,10 @@
 Each worker holds the broadcast tokenized catalog + alias index, loaded once
 (``ray.get`` of a shared ObjectRef — the catalog is put in the object store
 once and mapped zero-copy into every worker, never re-shipped per batch).
-The task-based stages keep one instance per worker process
-(``make_*_task_fn``); the actor-pool stages one per actor.  The batch call is
-vectorized: Arrow regex split for tokens, a CSR gather over the alias table
-for the (doc, token) -> candidate fan-out, numpy arithmetic for the link
-features.
+Stages run on plain tasks with one instance per worker process
+(:func:`ahrd_ray.stages.score.per_worker`).  The batch call is vectorized:
+Arrow regex split for tokens, a CSR gather over the alias table for the
+(doc, token) -> candidate fan-out, numpy arithmetic for the link features.
 
 Output is the slim ``candidates`` table (FIXTURES.md F2): token lists never
 travel with candidate rows — the scoring stage looks them up from the same
@@ -27,6 +26,7 @@ from ahrd_ray.config import TOKEN_SPLITTER_REGEX, EngineConfig, q20
 from ahrd_ray.functions.scoring import WINNERS_SCHEMA, annotated_mask, overlap_score, score_slim
 from ahrd_ray.sources import spec
 from ahrd_ray.sources.synth import CatalogBundle
+from ahrd_ray.stages.score import get_broadcast
 
 CANDIDATE_SCHEMA = pa.schema(
     [
@@ -63,18 +63,15 @@ SLIM_SCHEMA = pa.schema(
 
 
 class MentionDetector:
-    """map_batches actor: pages/documents batch -> candidate links.
+    """Batch callable: pages/documents batch -> candidate links (run per
+    worker through ``per_worker``).
 
     ``slim=True`` emits the scoring-path table: validity pre-filtered,
     overlap already quantized, source/lang as narrow codes — the shuffle then
     carries only numeric columns (plus a dictionary-encodable lang)."""
 
     def __init__(self, catalog_ref, cfg: EngineConfig, slim: bool = False):
-        import ray
-
-        bundle: CatalogBundle = (
-            ray.get(catalog_ref) if not isinstance(catalog_ref, CatalogBundle) else catalog_ref
-        )
+        bundle: CatalogBundle = get_broadcast(catalog_ref)
         self.bundle = bundle
         self.cfg = cfg
         self.slim = slim
@@ -164,9 +161,11 @@ class MentionDetector:
         out[found] = b - (ccum[g + b] - ccum[g]) + 1
         return out
 
-    def _links(self, batch: pa.Table) -> dict | None:
+    def _links(self, batch: pa.Table, valid_only: bool = False) -> dict | None:
         """Per-candidate numpy columns of ``batch`` (``row`` is the
-        candidate's doc row, nondecreasing), or None without a mention."""
+        candidate's doc row, nondecreasing), or None without a mention.
+        ``valid_only`` applies the validity pre-filter (M8) before the
+        columns it does not read are derived."""
         low = pc.utf8_lower(batch["text"])
         splits = pc.split_pattern_regex(low, pattern=TOKEN_SPLITTER_REGEX)
         if isinstance(splits, pa.ChunkedArray):
@@ -216,6 +215,17 @@ class MentionDetector:
         tok_len = np.repeat(p_toklen, cnt)
         ingest = np.repeat(p_ingest, cnt)
         d = doc_ids[row].astype(np.int64)
+        match_score = (
+            (ords * spec.MS_MULT_P + d * spec.MS_MULT_D + tok_len) % spec.MS_MOD + spec.MS_OFF
+        ).astype(np.float64)
+        if valid_only:
+            # span_end - span_start is tok_len, and cand_end - cand_start =
+            # 1 + (ords + d) % CEND_MOD is always >= 1
+            ok = self.valid_of[ords] & (tok_len > 0) & (match_score > 0)
+            if not ok.all():
+                row, ords, tok_len, ingest, d, match_score = (
+                    v[ok] for v in (row, ords, tok_len, ingest, d, match_score)
+                )
         cand_start = 1 + (ords % spec.CSTART_MOD)
         return {
             "row": row,
@@ -223,9 +233,7 @@ class MentionDetector:
             "cand_ord": ords,
             "e_rank": ((ords * spec.E_RANK_MULT_P + d * spec.E_RANK_MULT_D) % spec.E_RANK_MOD)
             .astype(np.float64) / spec.E_RANK_DIV,
-            "match_score": (
-                (ords * spec.MS_MULT_P + d * spec.MS_MULT_D + tok_len) % spec.MS_MOD + spec.MS_OFF
-            ).astype(np.float64),
+            "match_score": match_score,
             "span_start": ingest,
             "span_end": ingest + tok_len,
             "cand_start": cand_start,
@@ -236,21 +244,12 @@ class MentionDetector:
     def slim_columns(self, batch: pa.Table) -> dict | None:
         """The slim candidate columns as numpy arrays (SLIM_SCHEMA names but
         ``lang``, plus ``row``, the doc row in ``batch``), or None."""
-        c = self._links(batch)
-        if c is None:
-            return None
         # validity pre-filter (M8): invalid rows contribute to no aggregate,
         # so dropping them map-side is semantics-preserving
+        c = self._links(batch, valid_only=True)
+        if c is None:
+            return None
         ords = c["cand_ord"]
-        ok = (
-            self.valid_of[ords]
-            & (c["span_start"] < c["span_end"])
-            & (c["cand_start"] < c["cand_end"])
-            & (c["match_score"] > 0)
-        )
-        if not ok.all():
-            c = {k: v[ok] for k, v in c.items()}
-            ords = c["cand_ord"]
         ov_q = q20(
             overlap_score(
                 c["span_start"].astype(np.float64),
@@ -356,46 +355,3 @@ class FusedMentionScorer(MentionDetector):
                 )
         return pa.concat_tables(outs) if outs else WINNERS_SCHEMA.empty_table()
 
-
-# Per-worker-process instance cache for task-based execution.  Plain tasks
-# with a worker-local cache give the same amortize-setup-once property as an
-# actor pool but reuse the already-warm default worker pool — measured on
-# this corpus the actor pool's startup/autoscaling lag costs ~2s of
-# non-scaling wall time, while tasks reach ~0.97 scaling efficiency.
-_WORKER_INSTANCES: dict = {}
-
-
-def make_fused_task_fn(catalog_ref, cfg: EngineConfig, annotated_shorts=None):
-    """Task-based variant of FusedMentionScorer (worker-cached instance)."""
-    key = (
-        catalog_ref.hex() if hasattr(catalog_ref, "hex") else id(catalog_ref),
-        cfg,
-        annotated_shorts,
-    )
-
-    def fused(batch: pa.Table) -> pa.Table:
-        inst = _WORKER_INSTANCES.get(key)
-        if inst is None:
-            inst = FusedMentionScorer(catalog_ref, cfg, annotated_shorts)
-            _WORKER_INSTANCES[key] = inst
-        return inst(batch)
-
-    return fused
-
-
-def make_detector_task_fn(catalog_ref, cfg: EngineConfig, slim: bool = False):
-    """Task-based variant of MentionDetector (worker-cached instance)."""
-    key = (
-        catalog_ref.hex() if hasattr(catalog_ref, "hex") else id(catalog_ref),
-        cfg,
-        "slim" if slim else "full",
-    )
-
-    def detect(batch: pa.Table) -> pa.Table:
-        inst = _WORKER_INSTANCES.get(key)
-        if inst is None:
-            inst = MentionDetector(catalog_ref, cfg, slim=slim)
-            _WORKER_INSTANCES[key] = inst
-        return inst(batch)
-
-    return detect

@@ -247,10 +247,10 @@ def eval_scores(ctx, from_pages: bool = False, with_lang: bool = False) -> ray.d
 
     # Materialized before the join: the groupby's sort is a blocking
     # all-to-all that runs on the executor thread.  Fused with the join, it
-    # can start while the detector pool (2 CPUs), the join's aggregators
-    # and a `docs` read task (stalled, since the blocked thread stops
-    # draining it) hold the CPUs its sort tasks need, and the run hangs
-    # (seen at 4 CPUs in tests/test_eval_trainer.py).
+    # can start while the join's aggregator actors and a `docs` read task
+    # (stalled, since the blocked thread stops draining it) hold the CPUs
+    # its sort tasks need, and the run hangs.  Run alone, the sort finds
+    # free CPUs on any cluster size.
     lists = (
         candidates_dataset(ctx, from_pages=from_pages)
         .groupby("spart")

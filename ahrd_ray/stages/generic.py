@@ -2612,17 +2612,17 @@ def dq_violations(sf_dir: str) -> ray.data.Dataset:
             ("value_ceiling", v > DQ_VALUE_MAX),
         ]
         ids = df["event_id"].to_numpy()
-        frames = [
-            pd.DataFrame({"rule_id": rid, "event_id": ids[mask]})
-            for rid, mask in rules
-            if mask.any()
-        ]
-        if not frames:
-            return pd.DataFrame(
-                {"rule_id": pd.Series([], dtype=object),
-                 "event_id": pd.Series([], dtype="int64")}
-            )
-        return pd.concat(frames, ignore_index=True)
+        hits = [ids[mask] for _, mask in rules]
+        # Arrow with a string rule_id: an empty batch is then a typed block
+        # (an empty object column makes Ray's size estimator log an error)
+        return pa.table(
+            {
+                "rule_id": pa.array(
+                    np.repeat([rid for rid, _ in rules], [len(h) for h in hits]), type=pa.string()
+                ),
+                "event_id": pa.array(np.concatenate(hits), type=pa.int64()),
+            }
+        )
 
     return ev.map_batches(check, batch_format="pandas")
 

@@ -141,13 +141,14 @@ def cooccurrence_edges(sf_dir: str, with_span: bool = False) -> ray.data.Dataset
     (The previous shape shuffled the full 17M-row candidate table through
     groupby(spart) first — measured 25-43 s vs ~6 s fused at sf0.1.)"""
     from ahrd_ray.pipelines import kg
-    from ahrd_ray.stages.candidates import make_detector_task_fn
+    from ahrd_ray.stages.candidates import MentionDetector
+    from ahrd_ray.stages.score import per_worker
 
     ctx = kg.cached_context(sf_dir)
     catalog_ref = ctx.catalog_ref
     arrays = ctx.bundle.arrays
     n_parts = n_hash_parts()
-    detect = make_detector_task_fn(catalog_ref, ctx.cfg, slim=False)
+    detect = per_worker(MentionDetector, catalog_ref, ctx.cfg, False)
     # cache-sized detection chunks (the fused flagship's CHUNK_DOCS rationale)
     from ahrd_ray.stages.candidates import FusedMentionScorer
 
@@ -279,12 +280,13 @@ def cooc_window_edges(sf_dir: str, window: int = COOC_WINDOW) -> ray.data.Datase
     window is an extra predicate on the pair fan-out, so this edge set is
     always a subset of the unwindowed one."""
     from ahrd_ray.pipelines import kg
-    from ahrd_ray.stages.candidates import FusedMentionScorer, make_detector_task_fn
+    from ahrd_ray.stages.candidates import FusedMentionScorer, MentionDetector
+    from ahrd_ray.stages.score import per_worker
 
     ctx = kg.cached_context(sf_dir)
     arrays = ctx.bundle.arrays
     n_parts = n_hash_parts()
-    detect = make_detector_task_fn(ctx.catalog_ref, ctx.cfg, slim=False)
+    detect = per_worker(MentionDetector, ctx.catalog_ref, ctx.cfg, False)
     chunk_docs = FusedMentionScorer.CHUNK_DOCS
 
     def partial_pairs(batch: pa.Table) -> pd.DataFrame:
@@ -397,15 +399,15 @@ def pmi_edges(sf_dir: str) -> ray.data.Dataset:
     slice.  Detection — the dominant cost of every KG operator — runs
     once, not once per aggregate."""
     from ahrd_ray.pipelines import kg
-    from ahrd_ray.stages.candidates import FusedMentionScorer, make_detector_task_fn
+    from ahrd_ray.stages.candidates import FusedMentionScorer, MentionDetector
     from ahrd_ray.stages.partitioning import prune_stats_parents
-    from ahrd_ray.stages.score import get_broadcast
+    from ahrd_ray.stages.score import get_broadcast, per_worker
 
     ctx = kg.cached_context(sf_dir)
     arrays = ctx.bundle.arrays
     n_nodes = ctx.bundle.n
     n_parts = n_hash_parts()
-    detect = make_detector_task_fn(ctx.catalog_ref, ctx.cfg, slim=False)
+    detect = per_worker(MentionDetector, ctx.catalog_ref, ctx.cfg, False)
     chunk_docs = FusedMentionScorer.CHUNK_DOCS
 
     def partial(batch: pa.Table) -> pd.DataFrame:
@@ -642,12 +644,13 @@ def fact_support(sf_dir: str) -> ray.data.Dataset:
     timestamp conversion is one vectorized to_timedelta at the end.
     """
     from ahrd_ray.pipelines import kg
-    from ahrd_ray.stages.candidates import FusedMentionScorer, make_detector_task_fn
+    from ahrd_ray.stages.candidates import FusedMentionScorer, MentionDetector
+    from ahrd_ray.stages.score import per_worker
 
     ctx = kg.cached_context(sf_dir)
     arrays = ctx.bundle.arrays
     n_parts = n_hash_parts()
-    detect = make_detector_task_fn(ctx.catalog_ref, ctx.cfg, slim=False)
+    detect = per_worker(MentionDetector, ctx.catalog_ref, ctx.cfg, False)
     chunk_docs = FusedMentionScorer.CHUNK_DOCS
 
     empty = pd.DataFrame(
@@ -745,12 +748,13 @@ def entity_resolve(sf_dir: str) -> ray.data.Dataset:
     import zlib
 
     from ahrd_ray.pipelines import kg
-    from ahrd_ray.stages.candidates import FusedMentionScorer, make_detector_task_fn
+    from ahrd_ray.stages.candidates import FusedMentionScorer, MentionDetector
+    from ahrd_ray.stages.score import per_worker
 
     ctx = kg.cached_context(sf_dir)
     arrays = ctx.bundle.arrays
     n_parts = n_hash_parts()
-    detect = make_detector_task_fn(ctx.catalog_ref, ctx.cfg, slim=False)
+    detect = per_worker(MentionDetector, ctx.catalog_ref, ctx.cfg, False)
     chunk_docs = FusedMentionScorer.CHUNK_DOCS
 
     empty = pd.DataFrame(
@@ -2085,11 +2089,12 @@ def evidence_snippets(sf_dir: str) -> ray.data.Dataset:
     per-doc snippet slice is a bounded-width Python comprehension over one
     row per doc — O(docs x CTX) bytes, not a hot token-level loop."""
     from ahrd_ray.pipelines import kg
-    from ahrd_ray.stages.candidates import FusedMentionScorer, make_detector_task_fn
+    from ahrd_ray.stages.candidates import FusedMentionScorer, MentionDetector
+    from ahrd_ray.stages.score import per_worker
 
     ctx = kg.cached_context(sf_dir)
     arrays = ctx.bundle.arrays
-    detect = make_detector_task_fn(ctx.catalog_ref, ctx.cfg, slim=False)
+    detect = per_worker(MentionDetector, ctx.catalog_ref, ctx.cfg, False)
     chunk_docs = FusedMentionScorer.CHUNK_DOCS
 
     def partial(batch: pa.Table) -> pd.DataFrame:
@@ -2178,11 +2183,12 @@ def doc_entity_links(sf_dir: str, docs: "ray.data.Dataset | None" = None) -> ray
     COOCCUR_CAP per doc), fused with detection so nothing wider than two
     int64 columns ever shuffles."""
     from ahrd_ray.pipelines import kg
-    from ahrd_ray.stages.candidates import FusedMentionScorer, make_detector_task_fn
+    from ahrd_ray.stages.candidates import FusedMentionScorer, MentionDetector
+    from ahrd_ray.stages.score import per_worker
 
     ctx = kg.cached_context(sf_dir)
     arrays = ctx.bundle.arrays
-    detect = make_detector_task_fn(ctx.catalog_ref, ctx.cfg, slim=False)
+    detect = per_worker(MentionDetector, ctx.catalog_ref, ctx.cfg, False)
     chunk_docs = FusedMentionScorer.CHUNK_DOCS
     n_parts = n_hash_parts()
 
@@ -2925,12 +2931,13 @@ def mention_coverage(sf_dir: str) -> ray.data.Dataset:
     (exclusive ends: a span starting AT the previous max is adjacent and
     merges — the union length is identical either way)."""
     from ahrd_ray.pipelines import kg
-    from ahrd_ray.stages.candidates import FusedMentionScorer, make_detector_task_fn
+    from ahrd_ray.stages.candidates import FusedMentionScorer, MentionDetector
+    from ahrd_ray.stages.score import per_worker
     import pyarrow.compute as pc
 
     ctx = kg.cached_context(sf_dir)
     arrays = ctx.bundle.arrays
-    detect = make_detector_task_fn(ctx.catalog_ref, ctx.cfg, slim=False)
+    detect = per_worker(MentionDetector, ctx.catalog_ref, ctx.cfg, False)
     chunk_docs = FusedMentionScorer.CHUNK_DOCS
 
     def partial(batch: pa.Table) -> pd.DataFrame:

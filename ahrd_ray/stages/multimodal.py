@@ -1,11 +1,11 @@
 """Multimodal columns: opaque binary payloads + typed metadata + REAL codecs.
 
 Media travels the pipeline as an opaque ``binary`` column; decode /
-feature-extract / resize / frame-sample are actor-pool ``map_batches``
-stages (per-actor setup in ``__init__``, small batches because payloads are
-large).  The container has no codec LIBRARY (no PIL/cv2/imageio), but the
-uncompressed formats need none — this module carries real pure-Python
-parsers/writers for three of them:
+feature-extract / resize / frame-sample are task ``map_batches`` stages
+(callable instances whose setup runs once in ``__init__``, small batches
+because payloads are large).  The container has no codec LIBRARY (no
+PIL/cv2/imageio), but the uncompressed formats need none — this module
+carries real pure-Python parsers/writers for three of them:
 
 * **PNM** (``P5`` grayscale / ``P6`` RGB, binary raster, maxval <= 255)
 * **BMP** (BITMAPINFOHEADER, uncompressed 8-bit-palette or 24-bit,
@@ -642,12 +642,12 @@ def wav_payloads(
 
 
 # ---------------------------------------------------------------------------
-# Actor-pool stages
+# Callable-instance stages (plain tasks: each task unpickles the instance)
 # ---------------------------------------------------------------------------
 
 
 class MediaFeatureExtractor:
-    """Actor-pool stage: per-actor 'model' setup in __init__, small batches
+    """Feature stage: 'model' setup once in __init__, small batches
     because payloads are large.  Decodes via the REAL dispatch (PNM/BMP/
     fake) and emits fixed-width feature vectors + dims — the output layout
     a CLIP/whisper-style stage would produce."""
@@ -655,7 +655,7 @@ class MediaFeatureExtractor:
     N_FEATURES = 16
 
     def __init__(self, allow_fake: bool = True):
-        # per-actor setup (once): bin edges of the byte histogram 'model'
+        # setup (once, on the driver): bin edges of the byte histogram 'model'
         self.allow_fake = allow_fake
         self.bins = np.linspace(0, 256, self.N_FEATURES + 1)
 
@@ -681,17 +681,11 @@ class MediaFeatureExtractor:
         )
 
 
-def media_features(
-    sf_dir: str, concurrency: int | tuple = 2, batch_size: int = 64
-) -> ray.data.Dataset:
-    """payloads -> features via the actor-pool stage (small batch_size: a
-    batch x concurrency of decoded media must fit a worker's heap)."""
+def media_features(sf_dir: str, batch_size: int = 64) -> ray.data.Dataset:
+    """payloads -> features (small batch_size: a batch of decoded media
+    must fit a worker's heap)."""
     return payloads_dataset(sf_dir).map_batches(
-        MediaFeatureExtractor,
-        fn_constructor_kwargs={"allow_fake": True},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+        MediaFeatureExtractor(allow_fake=True), batch_format="pyarrow", batch_size=batch_size
     )
 
 
@@ -721,20 +715,14 @@ class MediaHistogram:
         )
 
 
-def media_histogram(
-    sf_dir: str, concurrency: int | tuple = 2, batch_size: int = 64
-) -> ray.data.Dataset:
+def media_histogram(sf_dir: str, batch_size: int = 64) -> ray.data.Dataset:
     return payloads_dataset(sf_dir).map_batches(
-        MediaHistogram,
-        fn_constructor_kwargs={"allow_fake": True},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+        MediaHistogram(allow_fake=True), batch_format="pyarrow", batch_size=batch_size
     )
 
 
 class ImageResizer:
-    """Actor-pool stage: decode (real dispatch) -> nearest-neighbor resize
+    """Resize stage: decode (real dispatch) -> nearest-neighbor resize
     (numpy index math) -> re-encoded P5 payload.  Swapping in a
     Pillow/opencv codec changes no Ray-side plumbing."""
 
@@ -768,15 +756,10 @@ class ImageResizer:
 
 
 def resized_images(
-    sf_dir: str, out_w: int = 16, out_h: int = 8,
-    concurrency: int | tuple = 2, batch_size: int = 64,
+    sf_dir: str, out_w: int = 16, out_h: int = 8, batch_size: int = 64
 ) -> ray.data.Dataset:
     return payloads_dataset(sf_dir).map_batches(
-        ImageResizer,
-        fn_constructor_kwargs={"out_w": out_w, "out_h": out_h, "allow_fake": True},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+        ImageResizer(out_w, out_h, allow_fake=True), batch_format="pyarrow", batch_size=batch_size
     )
 
 
@@ -845,18 +828,12 @@ class FrameSampler:
 
 
 def sampled_frames(
-    sf_dir: str, every_n: int = 4, frame_w: int = 8, frame_h: int = 8,
-    concurrency: int | tuple = 2, batch_size: int = 64,
+    sf_dir: str, every_n: int = 4, frame_w: int = 8, frame_h: int = 8, batch_size: int = 64
 ) -> ray.data.Dataset:
     return payloads_dataset(sf_dir).map_batches(
-        FrameSampler,
-        fn_constructor_kwargs={
-            "every_n": every_n, "frame_w": frame_w, "frame_h": frame_h,
-            "allow_fake": True,
-        },
+        FrameSampler(every_n, frame_w, frame_h, allow_fake=True),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
     )
 
 
@@ -883,7 +860,7 @@ def frame_sums(sf_dir: str, every_n: int = 4) -> ray.data.Dataset:
     )
 
 
-def audio_stats(sf_dir: str, concurrency: int | tuple = 2) -> ray.data.Dataset:
+def audio_stats(sf_dir: str) -> ray.data.Dataset:
     """WAV payloads -> (doc_id, n_samples, sample_rate, amp_sum, amp_min,
     amp_max) through the REAL RIFF/PCM parser — exact integers, SQL-gated."""
 
@@ -910,7 +887,7 @@ def audio_stats(sf_dir: str, concurrency: int | tuple = 2) -> ray.data.Dataset:
         )
 
     return wav_payloads(sf_dir).map_batches(
-        stats, batch_format="pyarrow", batch_size=64, concurrency=concurrency
+        stats, batch_format="pyarrow", batch_size=64
     )
 
 
@@ -922,7 +899,7 @@ AHASH_SIDE = 8
 
 
 class AverageHasher:
-    """Actor-pool stage: decode (real dispatch) -> 8x8 nearest-neighbor
+    """aHash stage: decode (real dispatch) -> 8x8 nearest-neighbor
     downsample (the ImageResizer grid math) -> strict mean threshold
     (bit = pixel*64 > total, integer-exact on both sides) -> packed 64-bit
     perceptual aHash.  The classic image near-dup feature: Hamming-close
@@ -954,16 +931,9 @@ class AverageHasher:
         )
 
 
-def ahash_features(
-    sf_dir: str, concurrency: int | tuple = 2, batch_size: int = 64,
-    fmt: str = "mixed",
-) -> ray.data.Dataset:
+def ahash_features(sf_dir: str, batch_size: int = 64, fmt: str = "mixed") -> ray.data.Dataset:
     return payloads_dataset(sf_dir, fmt=fmt).map_batches(
-        AverageHasher,
-        fn_constructor_kwargs={"allow_fake": True},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+        AverageHasher(allow_fake=True), batch_format="pyarrow", batch_size=batch_size
     )
 
 
@@ -973,16 +943,14 @@ def ahash_features(
 WAV_WIN = 32
 
 
-def wav_energy(
-    sf_dir: str, concurrency: int | tuple = 2, law: str | None = None
-) -> ray.data.Dataset:
+def wav_energy(sf_dir: str, law: str | None = None) -> ray.data.Dataset:
     """WAV payloads -> (doc_id, win_idx, n_samples, energy) through the
     REAL RIFF/PCM parser: per non-overlapping WAV_WIN-sample window, the
     exact int64 sum of squared amplitudes — the frame-energy feature every
     voice-activity / silence-trimming stage consumes.  Integer-exact, so
     the SQL oracle re-derives it from the synthetic waveform arithmetic.
 
-    Scale shape: an actor-pool map over small batches (payloads are
+    Scale shape: a task map over small batches (payloads are
     large), zero shuffle — window rows leave the task already final."""
 
     def energy(batch: pa.Table) -> pa.Table:
@@ -1009,13 +977,11 @@ def wav_energy(
         )
 
     return wav_payloads(sf_dir, law=law).map_batches(
-        energy, batch_format="pyarrow", batch_size=64, concurrency=concurrency
+        energy, batch_format="pyarrow", batch_size=64
     )
 
 
-def jpeg_dims(
-    sf_dir: str, concurrency: int | tuple = 2, progressive: bool = False
-) -> ray.data.Dataset:
+def jpeg_dims(sf_dir: str, progressive: bool = False) -> ray.data.Dataset:
     """(doc_id, width, height) decoded from REAL DCT JPEG payloads (lossy,
     quality 95) — baseline SOF0, or multi-scan PROGRESSIVE SOF2 when
     ``progressive`` (spectral selection + successive approximation).  The
@@ -1044,7 +1010,7 @@ def jpeg_dims(
     return payloads_dataset(
         sf_dir, fmt="jpeg_prog" if progressive else "jpeg"
     ).map_batches(
-        dims, batch_format="pyarrow", batch_size=64, concurrency=concurrency
+        dims, batch_format="pyarrow", batch_size=64
     )
 
 
@@ -1086,9 +1052,7 @@ def gif_video_payloads(
     return docs.map_batches(wrap, batch_format="pyarrow", batch_size=64)
 
 
-def gif_frame_sums(
-    sf_dir: str, every_n: int = 4, concurrency: int | tuple = 2
-) -> ray.data.Dataset:
+def gif_frame_sums(sf_dir: str, every_n: int = 4) -> ray.data.Dataset:
     """(doc_id, frame_idx, f_sum) — every Nth frame DEMUXED from the real
     animated-GIF container (LZW decode per frame) and byte-summed: the
     video frame-sampling product over an actual multi-frame format, gated
@@ -1113,7 +1077,7 @@ def gif_frame_sums(
         )
 
     return gif_video_payloads(sf_dir).map_batches(
-        sums, batch_format="pyarrow", batch_size=64, concurrency=concurrency
+        sums, batch_format="pyarrow", batch_size=64
     )
 
 
@@ -1121,13 +1085,13 @@ def gif_frame_sums(
 AUTOCORR_LAGS = (0, 1, 2, 4, 8)
 
 
-def wav_autocorr(sf_dir: str, concurrency: int | tuple = 2) -> ray.data.Dataset:
+def wav_autocorr(sf_dir: str) -> ray.data.Dataset:
     """WAV payloads -> (doc_id, lag, n_terms, autocorr) through the real
     RIFF/PCM parser: exact int64 autocorrelation at AUTOCORR_LAGS — the
     pitch/periodicity feature a speech-filtering stage consumes (frame
     energy's spectral-free complement; lag 0 is the normalizer).
     Integer-exact, so the oracle re-derives it from the synthetic
-    waveform arithmetic with a per-lag self-join.  Actor-pool map over
+    waveform arithmetic with a per-lag self-join.  Task map over
     small batches, zero shuffle."""
 
     def corr(batch: pa.Table) -> pa.Table:
@@ -1152,7 +1116,7 @@ def wav_autocorr(sf_dir: str, concurrency: int | tuple = 2) -> ray.data.Dataset:
         )
 
     return wav_payloads(sf_dir).map_batches(
-        corr, batch_format="pyarrow", batch_size=64, concurrency=concurrency
+        corr, batch_format="pyarrow", batch_size=64
     )
 
 

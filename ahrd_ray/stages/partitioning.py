@@ -228,10 +228,10 @@ def join_parts(n_joins: int = 2, cap: int = 256) -> int:
     (``num_cpus=0.25`` per aggregator here).  A pipeline chaining ``n_joins``
     joins therefore reserves ``n_joins * parts * 0.25`` CPUs; parts =
     cpus / (2*n_joins) caps the total reservation at an EIGHTH of the
-    cluster, leaving the rest for the map tasks and actor pools that feed
-    the joins — the round-2 deadlock constraint (a fully-reserved cluster
-    starves its own upstream; measured: parts=8 at 4 CPUs next to a 2-actor
-    detector pool wedges the whole pipeline).  The coefficient is measured,
+    cluster, leaving the rest for the map tasks that feed the joins — the
+    round-2 deadlock constraint (a fully-reserved cluster starves its own
+    upstream; measured: parts=8 at 4 CPUs next to a then 2-actor detector
+    pool wedged the whole pipeline).  The coefficient is measured,
     not guessed: at 32 CPUs the 2-join minhash verify runs ~6 s with 8
     partitions per join and ~8 s with 16 (aggregator-actor startup and
     finer shuffle blocks dominate), so more partitions only pay off as the

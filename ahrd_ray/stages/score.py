@@ -17,19 +17,54 @@ import ray
 from ahrd_ray.config import EngineConfig
 from ahrd_ray.functions.scoring import score_partition
 
-# Per-worker-process cache of broadcast objects (ray.get of the same ref is
-# cheap after first — plasma maps numpy arrays zero-copy — but caching avoids
-# even the lookup in per-group calls).
-_BCAST: dict[str, object] = {}
+# Per-worker-process cache shared by get_broadcast (ObjectRef hex ->
+# value) and per_worker ((cls, *args) -> instance).  Bounded like
+# ``cached_context``: the oldest entry goes when a ninth arrives, so a
+# session that builds many contexts does not pin every old catalog.
+_CACHE_MAX = 8
+_CACHE: dict = {}
+
+
+def _remember(key, value):
+    if len(_CACHE) >= _CACHE_MAX:
+        del _CACHE[next(iter(_CACHE))]
+    _CACHE[key] = value
+    return value
 
 
 def get_broadcast(ref):
+    """``ray.get(ref)`` once per worker process (a non-ref is returned
+    as is)."""
     if isinstance(ref, ray.ObjectRef):
         key = ref.hex()
-        if key not in _BCAST:
-            _BCAST[key] = ray.get(ref)
-        return _BCAST[key]
+        value = _CACHE.get(key)
+        return value if value is not None else _remember(key, ray.get(ref))
     return ref
+
+
+def _instance(key, cls, args):
+    inst = _CACHE.get(key)
+    return inst if inst is not None else _remember(key, cls(*args))
+
+
+def per_worker(cls, *args):
+    """A plain ``map_batches`` function that calls ``cls(*args)`` on each
+    batch, with one instance per worker process, built on its first batch
+    and reused: the setup-once property of an actor pool on ordinary
+    tasks, which hold a CPU only while they run, so a one-CPU cluster can
+    schedule every stage.  ObjectRef arguments enter the cache key by their
+    hex id."""
+    key = (cls, *(a.hex() if isinstance(a, ray.ObjectRef) else a for a in args))
+
+    # The cache is reached through module-level functions: cloudpickle ships
+    # a closure's module globals BY VALUE, so a closure that named _CACHE
+    # would carry a copy of the driver's cache into every task and never
+    # find an instance a previous task built.
+    def fn(batch):
+        return _instance(key, cls, args)(batch)
+
+    fn.__name__ = cls.__name__  # Ray Data names the operator MapBatches(<name>)
+    return fn
 
 
 def make_group_scorer(

@@ -103,16 +103,18 @@ def shard_input_files(
     wall-clock balance for a one-shot run, but adding/removing ANY file
     reshuffles assignments and dirties every shard's fingerprint.
 
-    ``stable=True``: hash-of-path assignment — a new file dirties ONLY its
-    own shard, so an incremental run over a growing corpus recomputes one
-    shard per new file and resumes everything else from checkpoint.  With
-    thousands of files per shard the hash balances within a few percent;
+    ``stable=True``: hash-of-file-name assignment — a new file dirties ONLY
+    its own shard, so an incremental run over a growing corpus recomputes
+    one shard per new file and resumes everything else from checkpoint.
+    The directory is not hashed, so a corpus shards the same wherever it
+    lives (files of one name in different directories share a shard).
+    With thousands of files per shard the hash balances within a few percent;
     empty shards are kept (as empty lists) so part indices never shift.
     """
     if stable:
         shards: list[list[str]] = [[] for _ in range(max(1, num_shards))]
         for p in sorted(paths):
-            h = int.from_bytes(hashlib.sha1(p.encode()).digest()[:8], "big")
+            h = int.from_bytes(hashlib.sha1(os.path.basename(p).encode()).digest()[:8], "big")
             shards[h % len(shards)].append(p)
         return shards
     by_size = sorted(paths, key=lambda p: (-os.path.getsize(p), p))

@@ -20,7 +20,10 @@ import time
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+ROOT = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, ROOT)
+
+from perfbench.host import host_block  # noqa: E402  (needs ROOT on sys.path)
 
 
 def replicated_docs(sf_dir: str, mult: int):
@@ -302,21 +305,21 @@ def run_benchmarks(sf_dir: str, num_cpus: int) -> dict:
             "mm_gif_ahash",
             lambda: __import__(
                 "ahrd_ray.stages.multimodal", fromlist=["x"]
-            ).ahash_features(sf_dir, fmt="gif", concurrency=8),
+            ).ahash_features(sf_dir, fmt="gif"),
         ),
         (
             # the lossless-JPEG Huffman DPCM decoder under load
             "mm_jpegls_ahash",
             lambda: __import__(
                 "ahrd_ray.stages.multimodal", fromlist=["x"]
-            ).ahash_features(sf_dir, fmt="jpegls", concurrency=8),
+            ).ahash_features(sf_dir, fmt="jpegls"),
         ),
         (
             # the QOI byte codec under load
             "mm_qoi_ahash",
             lambda: __import__(
                 "ahrd_ray.stages.multimodal", fromlist=["x"]
-            ).ahash_features(sf_dir, fmt="qoi", concurrency=8),
+            ).ahash_features(sf_dir, fmt="qoi"),
         ),
         (
             # PQ ANN: encode + ADC-LUT scoring under load
@@ -369,6 +372,7 @@ def run_benchmarks(sf_dir: str, num_cpus: int) -> dict:
         "candidates": n_cands,
         "winners": n_winners,
         "docs_per_sec": round(n_docs / headline, 2),
+        "host": host_block(ROOT),
     }
 
 
@@ -432,6 +436,10 @@ def main() -> None:
                     "docs_per_sec_low": tp_low,
                     "docs_per_sec_high": tp_high,
                     "cpus": [low, high],
+                    # this run IS the scaling pair: drop the block's "not run"
+                    "host": {
+                        k: v for k, v in host_block(ROOT).items() if k != "scaling_n_4n"
+                    },
                 }
             )
         )

@@ -19,6 +19,23 @@ def _norm(ds):
     )
 
 
+def test_stable_shards_ignore_directory():
+    """stable=True assigns shards by file name only, so a corpus shards the
+    same under any directory (hashing the full path once put all four files
+    of the resume tests in one shard for some pytest base directories)."""
+    from ahrd_ray.state.checkpoint import shard_input_files
+
+    names = [f"documents_{k}.parquet" for k in range(4)]
+
+    def layout(root):
+        shards = shard_input_files([os.path.join(root, n) for n in names], 4, stable=True)
+        return [[os.path.basename(p) for p in s] for s in shards]
+
+    a = layout("/data/corpus_a")
+    assert a == layout("/data/corpus_b")
+    assert sum(1 for s in a if s) >= 2
+
+
 def test_cocitation_kill_and_resume(ray_session, tmp_path):
     from ahrd_ray.stages.graph import cocitation_pairs, cocitation_pairs_checkpointed
     from ahrd_ray.state.checkpoint import stage_metrics

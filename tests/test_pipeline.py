@@ -352,13 +352,12 @@ def test_fused_equals_groupby_winners(ctx):
     assert a.equals(b)
 
 
-def test_fused_actor_mode_equals_tasks(ctx):
+def test_fused_operator_name(ctx):
+    """The fused stage's operator is MapBatches(fused): the benchmark's
+    traced run reads its task time from Dataset.stats() by that name."""
     from ahrd_ray.pipelines.kg import winners_dataset_fused
 
-    cols = ["doc_id", "cand_id", "description_score"]
-    a = winners_dataset_fused(ctx, mode="tasks").to_pandas()[cols].sort_values("doc_id")
-    b = winners_dataset_fused(ctx, mode="actors").to_pandas()[cols].sort_values("doc_id")
-    assert a.reset_index(drop=True).equals(b.reset_index(drop=True))
+    assert winners_dataset_fused(ctx)._logical_plan.dag.name == "MapBatches(fused)"
 
 
 def test_text_export_w2(ray_session, tmp_path):

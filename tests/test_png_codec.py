@@ -96,18 +96,14 @@ def _collect(ds):
 
 def test_mm_features_container_invariant_png(ray_session):
     """ahash + media features over fmt='png' == over fmt='bmp': the
-    Ray-side plumbing (actor pool, batch size, schema) is identical and
+    Ray-side plumbing (task map, batch size, schema) is identical and
     the zlib codec reproduces the exact raster."""
     import pandas as pd
 
     def run(fmt, cls):
         return _collect(
             payloads_dataset(SF, fmt=fmt).map_batches(
-                cls,
-                fn_constructor_kwargs={"allow_fake": True},
-                batch_format="pyarrow",
-                batch_size=64,
-                concurrency=2,
+                cls(allow_fake=True), batch_format="pyarrow", batch_size=64
             )
         )
 

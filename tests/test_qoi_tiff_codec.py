@@ -97,6 +97,25 @@ def test_tiff_rejects_unsupported():
         decode_tiff(b"XX" + bytes(blob[2:]))
 
 
+@pytest.mark.parametrize(
+    "tag, name",
+    [(256, "width"), (257, "height"), (273, "strip_offsets"), (279, "strip_counts")],
+)
+def test_tiff_missing_required_tag_raises_value_error(tag, name):
+    """A TIFF without one of the tags the decoder needs is a malformed
+    input (ValueError naming the tag), not a KeyError."""
+    import struct
+
+    blob = bytearray(encode_tiff(np.zeros((3, 5), dtype=np.uint8)))
+    ifd_off = struct.unpack_from("<I", blob, 4)[0]
+    for k in range(struct.unpack_from("<H", blob, ifd_off)[0]):
+        off = ifd_off + 2 + 12 * k
+        if struct.unpack_from("<H", blob, off)[0] == tag:
+            struct.pack_into("<H", blob, off, 0xFFFF)  # a tag the decoder skips
+    with pytest.raises(ValueError, match=f"missing required TIFF tag.*{name}"):
+        decode_tiff(bytes(blob))
+
+
 def test_dispatch_container_invariance():
     # the SAME doc raster through qoi and tiff containers decodes to the
     # identical 2-D array the pnm/arim fixture path produces
