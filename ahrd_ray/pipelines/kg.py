@@ -129,10 +129,10 @@ def winners_dataset(
     )
 
 
-# Rows per TASK for the fused stage: chunky tasks amortize scheduling while
-# the kernel internally processes cache-sized 64-doc slices
-# (FusedMentionScorer.CHUNK_DOCS); 256 balances dispatch overhead against
-# last-wave stragglers.
+# Rows per TASK for the fused stage: chunky tasks amortize scheduling and
+# detection (one tokenize + first-occurrence pass per batch), while the
+# kernel scores slices of at most FusedMentionScorer.CHUNK_CANDIDATES
+# candidates; 256 balances dispatch overhead against last-wave stragglers.
 FUSED_BATCH_SIZE = 256
 
 

@@ -18,7 +18,6 @@ straight to the scoring kernel.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -86,12 +85,13 @@ class MentionDetector:
             tids.extend([tid] * len(arr))
             ords.extend(arr.tolist())
         self.token_ids = token_ids
+        self.tok_by_id = list(token_ids)
         # lexicon as an Arrow value_set: the per-batch token-id lookup is
         # then one pc.index_in C kernel instead of a Python dict.get per
         # word of every document (VERDICT r2 item #7)
-        self.lexicon_arr = pa.array(list(token_ids), type=pa.string())
+        self.lexicon_arr = pa.array(self.tok_by_id, type=pa.string())
         self.token_len_of = np.asarray(
-            [len(w) for w in token_ids], dtype=np.int64
+            [len(w) for w in self.tok_by_id], dtype=np.int64
         )
         tids_arr = np.asarray(tids, dtype=np.int64)
         ords_arr = np.asarray(ords, dtype=np.int64)
@@ -161,11 +161,21 @@ class MentionDetector:
         out[found] = b - (ccum[g + b] - ccum[g]) + 1
         return out
 
-    def _links(self, batch: pa.Table, valid_only: bool = False) -> dict | None:
-        """Per-candidate numpy columns of ``batch`` (``row`` is the
-        candidate's doc row, nondecreasing), or None without a mention.
-        ``valid_only`` applies the validity pre-filter (M8) before the
-        columns it does not read are derived."""
+    @staticmethod
+    def _distinct_pairs(row, tid, n_lexicon: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (row, tid) pairs with ``tid >= 0``, each kept at its first
+        occurrence, in input order (``DataFrame.drop_duplicates`` of the
+        hits)."""
+        hit = tid >= 0
+        row, tid = row[hit], tid[hit]
+        _, first = np.unique(row * n_lexicon + tid, return_index=True)
+        first.sort()
+        return row[first], tid[first]
+
+    def _pairs(self, batch: pa.Table) -> tuple | None:
+        """The distinct (doc row, lexicon token id) pairs of ``batch`` in
+        reading order (rows nondecreasing) and each pair's 1-based first
+        occurrence in the lowercased text, or None without a lexicon word."""
         low = pc.utf8_lower(batch["text"])
         splits = pc.split_pattern_regex(low, pattern=TOKEN_SPLITTER_REGEX)
         if isinstance(splits, pa.ChunkedArray):
@@ -175,29 +185,32 @@ class MentionDetector:
         if isinstance(flat, pa.ChunkedArray):
             flat = flat.combine_chunks()
         row_idx = np.repeat(np.arange(len(batch)), lengths)
-        # (doc, token-id) pairs: one index_in kernel (empty strings and
-        # non-lexicon words both map to -1), deduplicated on codes
+        # one index_in kernel (empty strings and non-lexicon words both map
+        # to -1), deduplicated on codes
         tids = pc.fill_null(
             pc.index_in(flat, value_set=self.lexicon_arr), -1
         ).to_numpy(zero_copy_only=False).astype(np.int64)
-        hit_mask = tids >= 0
-        pairs = pd.DataFrame(
-            {"row": row_idx[hit_mask], "tid": tids[hit_mask]}
-        ).drop_duplicates()
-        if len(pairs) == 0:
+        p_row, p_tid = self._distinct_pairs(row_idx, tids, len(self.tok_by_id))
+        if len(p_row) == 0:
             return None
+        # reading-order ingest position — 1-based first occurrence of the
+        # mention in the lowercased text (== DuckDB strpos) — per pair, so
+        # the per-candidate fan-out only does integer math
+        return p_row, p_tid, self._first_occurrence(low, p_row, p_tid, self.tok_by_id)
 
+    def _links(self, batch: pa.Table, valid_only: bool = False) -> dict | None:
+        """Per-candidate numpy columns of ``batch`` (``row`` is the
+        candidate's doc row, nondecreasing), or None without a mention.
+        ``valid_only`` applies the validity pre-filter (M8) before the
+        columns it does not read are derived."""
+        pairs = self._pairs(batch)
+        return None if pairs is None else self._fan_out(batch, *pairs, valid_only=valid_only)
+
+    def _fan_out(self, batch, p_row, p_tid, p_ingest, valid_only: bool = False) -> dict | None:
+        """:meth:`_links` of the pairs ``p_row``/``p_tid``/``p_ingest`` of
+        ``batch`` (any doc-contiguous slice of :meth:`_pairs`)."""
         doc_ids = batch["doc_id"].to_numpy()
         doc_lens = pc.utf8_length(batch["text"]).to_numpy(zero_copy_only=False).astype(np.int64)
-
-        # per (doc, token) pair (small table): reading-order ingest position —
-        # 1-based first occurrence of the mention in the lowercased text
-        # (== DuckDB strpos) — computed BEFORE the alias fan-out so the
-        # per-candidate hits table only does integer math.
-        tok_by_id = list(self.token_ids)
-        p_row = pairs["row"].to_numpy()
-        p_tid = pairs["tid"].to_numpy()
-        p_ingest = self._first_occurrence(low, p_row, p_tid, tok_by_id)
         p_toklen = self.token_len_of[p_tid]
 
         # (doc, token) -> candidate fan-out: CSR gather over the alias table
@@ -246,7 +259,10 @@ class MentionDetector:
         ``lang``, plus ``row``, the doc row in ``batch``), or None."""
         # validity pre-filter (M8): invalid rows contribute to no aggregate,
         # so dropping them map-side is semantics-preserving
-        c = self._links(batch, valid_only=True)
+        return self._slim(self._links(batch, valid_only=True))
+
+    def _slim(self, c: dict | None) -> dict | None:
+        """:meth:`slim_columns` of the valid-only link columns ``c``."""
         if c is None:
             return None
         ords = c["cand_ord"]
@@ -333,25 +349,48 @@ class FusedMentionScorer(MentionDetector):
     equivalent by the shared DuckDB oracle and a pytest equality check.
     """
 
-    # docs per internal chunk: the kernel's exploded intermediates for ~64
-    # docs stay inside CPU cache; larger slabs hit allocator/page-fault
-    # pathologies (measured 4.5ms/doc at 64 vs 13ms/doc at 1024).  Tasks can
-    # therefore be CHUNKY (amortizing scheduling) while the kernel stays
-    # cache-sized.
+    # candidates per kernel call: the fan-out and the kernel's intermediates
+    # grow with candidates, not docs, so the fused scorer cuts each task
+    # batch at doc boundaries every CHUNK_CANDIDATES candidates (a doc above
+    # the budget gets a chunk of its own).  A 2^17 budget puts ~36
+    # `headline` docs (~3,600 fanned-out candidates each) in a chunk, inside
+    # the measured 32-64-doc optimum, and a whole 256-doc
+    # `wide_small_catalog` batch (~31 candidates each) in one.
+    CHUNK_CANDIDATES = 1 << 17
+    # docs per detection chunk in the graph stages (stages/graph.py) and
+    # the benchmark's traced replay (perfbench/worker.py); the fused scorer
+    # itself chunks by CHUNK_CANDIDATES
     CHUNK_DOCS = 64
 
     def __init__(self, catalog_ref, cfg: EngineConfig, annotated_shorts=None):
         super().__init__(catalog_ref, cfg, slim=True)
         self.has_attr = annotated_mask(self.bundle.arrays, annotated_shorts)
 
+    def _chunks(self, p_row: np.ndarray, p_tid: np.ndarray) -> list[tuple[int, int]]:
+        """Doc-contiguous ``[start, end)`` slices of the pairs, each with at
+        most CHUNK_CANDIDATES candidates (the alias fan-out before the
+        validity filter, read off the CSR offsets) or a single doc."""
+        offs = self.alias_offsets
+        cum = np.concatenate([[0], np.cumsum(offs[p_tid + 1] - offs[p_tid])])
+        edges = np.flatnonzero(np.r_[True, p_row[1:] != p_row[:-1], True])
+        at = cum[edges]  # candidates before each doc boundary
+        out, i = [], 0
+        while i < len(edges) - 1:
+            j = int(np.searchsorted(at, at[i] + self.CHUNK_CANDIDATES, side="right")) - 1
+            j = max(j, i + 1)
+            out.append((int(edges[i]), int(edges[j])))
+            i = j
+        return out
+
     def __call__(self, batch: pa.Table) -> pa.Table:
+        pairs = self._pairs(batch)
+        if pairs is None:
+            return WINNERS_SCHEMA.empty_table()
         outs = []
-        for off in range(0, len(batch), self.CHUNK_DOCS):
-            chunk = batch.slice(off, self.CHUNK_DOCS)
-            cols = self.slim_columns(chunk)
+        for a, b in self._chunks(pairs[0], pairs[1]):
+            cols = self._slim(self._fan_out(batch, *(p[a:b] for p in pairs), valid_only=True))
             if cols is not None:
                 outs.append(
-                    score_slim(cols, chunk["lang"], self.bundle.arrays, self.cfg, self.has_attr)
+                    score_slim(cols, batch["lang"], self.bundle.arrays, self.cfg, self.has_attr)
                 )
         return pa.concat_tables(outs) if outs else WINNERS_SCHEMA.empty_table()
-

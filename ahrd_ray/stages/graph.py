@@ -149,7 +149,7 @@ def cooccurrence_edges(sf_dir: str, with_span: bool = False) -> ray.data.Dataset
     arrays = ctx.bundle.arrays
     n_parts = n_hash_parts()
     detect = per_worker(MentionDetector, catalog_ref, ctx.cfg, False)
-    # cache-sized detection chunks (the fused flagship's CHUNK_DOCS rationale)
+    # 64-doc detection chunks bound the per-call link tables
     from ahrd_ray.stages.candidates import FusedMentionScorer
 
     chunk_docs = FusedMentionScorer.CHUNK_DOCS

@@ -441,12 +441,24 @@ def _decode_bmp(blob: bytes) -> np.ndarray:
 
 
 def decode_image(blob: bytes, allow_fake: bool = False) -> np.ndarray:
-    """Decode an image payload to a (h, w) or (h, w, 3) uint8 array.
+    """Decode an image payload to a uint8 array, dispatched on its magic.
 
-    REAL pure-Python paths: binary PNM (P5/P6) and uncompressed BMP.  The
-    ``ARIM`` fake container decodes only with ``allow_fake=True`` (it is a
-    test fixture, not a format).  Compressed formats raise — those need a
-    codec library this container does not have."""
+    Pure-Python decoders: binary PNM (P5/P6) and uncompressed BMP here,
+    PNG (8-bit, every color type, Adam7) here, and GIF, JPEG (baseline,
+    progressive and lossless), QOI and TIFF in :mod:`ahrd_ray.functions.codecs`.
+    Results are (h, w) or (h, w, 3), except that PNG keeps an alpha channel
+    ((h, w, 2) or (h, w, 4)) and QOI keeps one ((h, w, 4)) when some pixel's
+    alpha is below 255.  A QOI whose every pixel is achromatic with alpha
+    255 comes back as (h, w), even when it was encoded from an RGB image.
+    The ``ARIM`` fake container decodes only with ``allow_fake=True`` (it
+    is a test fixture, not a format).
+
+    Still raising ``NotImplementedError``: arithmetic-coded and
+    hierarchical JPEG, JPEG with other than 1 or 3 components or with
+    other than 8-bit DCT samples, 16-bit PNG and PNM rasters, RLE/bitfields
+    or BITMAPCOREHEADER BMP, and compressed or other than 8-bit
+    single-sample TIFF.  Malformed payloads and unknown magics raise
+    ``ValueError``."""
     head = bytes(blob[:4])
     if head[:2] in (b"P5", b"P6"):
         return _decode_pnm(blob)

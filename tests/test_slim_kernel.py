@@ -1,17 +1,22 @@
-"""The fused detect+score kernel without Ray: its packed sort and winner
-pick helpers, and a batch whose middle chunk yields no candidate."""
+"""The fused detect+score kernel without Ray: its packed sort, winner pick,
+pair dedup and dense token-sum helpers, a batch whose middle chunk yields no
+candidate, and winners that do not depend on the chunk budget or the plan."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ahrd_ray.config import DEFAULT_CONFIG
+from ahrd_ray.config import q20
+from ahrd_ray.functions import scoring
 from ahrd_ray.functions.scoring import (
     WINNERS_SCHEMA,
+    class_incidence,
     packed_lexsort,
     pick_winners,
     score_partition,
@@ -153,3 +158,111 @@ def test_fused_scorer_survives_candidate_free_chunk(bundle, annotated):
 
     empty = FusedMentionScorer(bundle, cfg, shorts)(batch.slice(64))
     assert empty.num_rows == 0 and empty.schema == WINNERS_SCHEMA
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(-1, 5)), max_size=60),
+)
+def test_distinct_pairs_match_drop_duplicates(pairs):
+    """First occurrence of each hit pair (tid >= 0), in input order — the
+    rows and order of DataFrame.drop_duplicates; rows are nondecreasing and
+    misses (tid -1) are dropped."""
+    pairs = sorted(pairs, key=lambda p: p[0])  # stable: tids keep their order
+    row = np.asarray([p[0] for p in pairs], dtype=np.int64)
+    tid = np.asarray([p[1] for p in pairs], dtype=np.int64)
+    got_row, got_tid = MentionDetector._distinct_pairs(row, tid, 6)
+    df = pd.DataFrame({"row": row, "tid": tid})
+    ref = df[df["tid"] >= 0].drop_duplicates()
+    assert got_row.tolist() == ref["row"].tolist()
+    assert got_tid.tolist() == ref["tid"].tolist()
+
+
+@st.composite
+def class_sums(draw):
+    """A class CSR over a small vocabulary whose first class lists one token
+    twice, and per-(doc, class) sums of q20 dyadics."""
+    n_tok = draw(st.integers(1, 6))
+    lists = draw(st.lists(st.lists(st.integers(0, n_tok - 1), min_size=1, max_size=4), min_size=1, max_size=8))
+    lists[0] = lists[0] + lists[0][:1]
+    offsets = np.concatenate([[0], np.cumsum([len(c) for c in lists])]).astype(np.int64)
+    codes = np.asarray([t for c in lists for t in c], dtype=np.int32)
+    n_docs = draw(st.integers(1, 5))
+    vals = st.floats(0, 1e4, allow_nan=False).map(lambda x: float(q20(np.float64(x))))
+    sums = np.asarray(
+        draw(st.lists(vals, min_size=3 * n_docs * len(lists), max_size=3 * n_docs * len(lists)))
+    ).reshape(3, n_docs, len(lists))
+    return offsets, codes, n_tok, sums
+
+
+@settings(max_examples=200, deadline=None)
+@given(class_sums())
+def test_incidence_product_matches_add_at(case):
+    """The dense plan's one product equals the three np.add.at scatters it
+    replaced, bit for bit: the summands are exact dyadics and a token a
+    class lists twice counts twice."""
+    offsets, codes, n_tok, sums = case
+    n_classes = len(offsets) - 1
+    n_docs = sums.shape[1]
+    inc = class_incidence(offsets, codes, n_tok)
+    got = (sums.reshape(3 * n_docs, n_classes) @ inc).reshape(3, n_docs, n_tok)
+    csr_cls = np.repeat(np.arange(n_classes), np.diff(offsets))
+    for k in range(3):
+        want = np.zeros((n_tok, n_docs))
+        np.add.at(want, codes, sums[k].T[csr_cls])
+        assert got[k].tobytes() == np.ascontiguousarray(want.T).tobytes()
+
+
+def _sorted_by_doc(t: pa.Table) -> pa.Table:
+    return t.take(pc.sort_indices(t, [("doc_id", "ascending")]))
+
+
+@pytest.mark.parametrize("annotated", [False, True])
+def test_fused_winners_independent_of_chunk_budget(bundle, annotated, monkeypatch):
+    """The fused winners do not depend on CHUNK_CANDIDATES: one doc per
+    chunk, a budget that only doc 0 exceeds, a few docs per chunk, the
+    default and one chunk per batch all equal score_partition's winners.
+    The candidate-free docs 64-127 sit between docs 0-31 and 32-63, so
+    chunk boundaries fall across them."""
+    bundle, batch = bundle
+    cfg = DEFAULT_CONFIG
+    shorts = frozenset(bundle.arrays.cand_short[::3]) if annotated else None
+    batch = pa.concat_tables([batch.slice(0, 32), batch.slice(64), batch.slice(32, 32)])
+    fused = FusedMentionScorer(bundle, cfg, shorts)
+    p_row, p_tid, _ = fused._pairs(batch)
+    offs = fused.alias_offsets
+    per_doc = np.bincount(p_row, weights=offs[p_tid + 1] - offs[p_tid], minlength=batch.num_rows)
+    assert per_doc[0] > 30 >= per_doc[1:].max() and not per_doc[32:96].any()
+
+    cands = MentionDetector(bundle, cfg)(batch).to_pandas()
+    ref = score_partition(cands, bundle.arrays, cfg, annotated_shorts=shorts, carry_cols=("lang",))
+    ref = _sorted_by_doc(pa.Table.from_pandas(ref[WINNERS_SCHEMA.names], schema=WINNERS_SCHEMA, preserve_index=False))
+    assert ref["doc_id"].to_pylist() == list(range(64))
+
+    for budget in (1, 30, 500, FusedMentionScorer.CHUNK_CANDIDATES, 1 << 40):
+        monkeypatch.setattr(FusedMentionScorer, "CHUNK_CANDIDATES", budget)
+        chunks = fused._chunks(p_row, p_tid)
+        assert chunks[0][0] == 0 and chunks[-1][1] == len(p_row)
+        for (a, b), (c, _) in zip(chunks, chunks[1:]):
+            assert b == c and p_row[b - 1] != p_row[b]
+        for a, b in chunks:
+            assert per_doc[np.unique(p_row[a:b])].sum() <= budget or p_row[a] == p_row[b - 1]
+        if budget == 1:
+            assert (31, 96) in {(p_row[b - 1], p_row[b]) for _, b in chunks[:-1]}
+        if budget == 30:
+            assert p_row[chunks[0][1] - 1] == 0 and len(chunks) > 2
+        got = fused(batch)
+        assert got.schema == WINNERS_SCHEMA
+        assert _sorted_by_doc(got).equals(ref)
+
+
+def test_dense_and_sparse_plans_agree(bundle, monkeypatch):
+    """The fixture's chunks take the dense plan; forcing the sparse plan
+    gives equal winners."""
+    bundle, batch = bundle
+    fused = FusedMentionScorer(bundle, DEFAULT_CONFIG)
+    bundle.arrays.class_incidence = None
+    dense = fused(batch)
+    assert bundle.arrays.class_incidence is not None
+    monkeypatch.setattr(scoring, "_DENSE_CELLS_MAX", 0)
+    assert fused(batch).equals(dense)
