@@ -11,8 +11,9 @@ Three layers:
   partition at once with column operations (no per-row Python in the hot
   path);
 * :func:`score_slim` — the production kernel over the numeric slim
-  candidate layout, run per 64-doc chunk by the fused detect+score stage
-  (and through :func:`score_partition_slim` by the slim shuffle stage); it
+  candidate layout, run by the fused detect+score stage on doc-contiguous
+  slices of at most ``FusedMentionScorer.CHUNK_CANDIDATES`` candidates (and
+  through :func:`score_partition_slim` by the slim shuffle stage); it
   returns the winners as an Arrow table.
 
 Determinism contract (deviations from the reference, all documented):
@@ -682,6 +683,16 @@ _DENSE_CELLS_MAX = 1 << 22
 _PACK_BITS = 62
 
 
+def _integral(k: np.ndarray) -> tuple[np.ndarray, int, int] | None:
+    """``k`` as int64 with its min and max when every value is an integer
+    within +-2**62, else None (also for NaN and inf)."""
+    lo, hi = k.min(), k.max()
+    if not (-(2**62) <= lo and hi <= 2**62):
+        return None
+    ki = k.astype(np.int64)
+    return (ki, int(lo), int(hi)) if np.array_equal(ki, k) else None
+
+
 def packed_lexsort(keys, stable: bool = True) -> np.ndarray:
     """The order of ``np.lexsort(keys)`` (last key primary) from one argsort
     of a packed int64 key.
@@ -699,16 +710,83 @@ def packed_lexsort(keys, stable: bool = True) -> np.ndarray:
     packed = np.zeros(len(keys[0]), dtype=np.int64)
     shift = 0
     for k in keys:
-        lo, hi = k.min(), k.max()
-        if not (-(2**62) <= lo and hi <= 2**62):  # also rejects NaN and inf
+        ik = _integral(k)
+        if ik is None:
             return np.lexsort(keys)
-        ki = k.astype(np.int64)
-        bits = (int(hi) - int(lo)).bit_length()
-        if shift + bits > _PACK_BITS or not np.array_equal(ki, k):
+        ki, lo, hi = ik
+        bits = (hi - lo).bit_length()
+        if shift + bits > _PACK_BITS:
             return np.lexsort(keys)
-        packed |= (ki - int(lo)) << shift
+        packed |= (ki - lo) << shift
         shift += bits
     return np.argsort(packed, kind="stable" if stable else "quicksort")
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """True where a run of equal values starts."""
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return new
+
+
+def hsp_dedup(doc, cand, ms, ingest) -> np.ndarray:
+    """S4 HSP dedup: the row kept per (doc, cand) — highest ``ms``, then
+    lowest ``ingest``, then first row — as row indices in ``doc`` order.
+
+    Doc-sorted rows with at most _DENSE_CELLS_MAX (doc, cand) cells count
+    each cell and rank only the rows of cells seen twice; other input takes
+    one :func:`packed_lexsort` of all rows.
+    """
+    if not (doc[1:] < doc[:-1]).any():
+        code = np.cumsum(_run_starts(doc), dtype=np.int64) - 1
+        lo = int(cand.min())
+        span = int(cand.max()) - lo + 1
+        if (int(code[-1]) + 1) * span <= _DENSE_CELLS_MAX:
+            cell = code * span + (cand - lo)
+            dup = np.flatnonzero(np.bincount(cell)[cell] > 1)
+            keep = np.ones(len(doc), dtype=bool)
+            if len(dup):
+                keep[dup] = False
+                o = dup[packed_lexsort((ingest[dup], -ms[dup], cell[dup]))]
+                keep[o[_run_starts(cell[o])]] = True
+            return np.flatnonzero(keep)
+    order = packed_lexsort((ingest, -ms, cand, doc))
+    return order[_run_starts(doc[order]) | _run_starts(cand[order])]
+
+
+def top_k_rows(doc_codes, src_code, e_rank, cand, n_src: int, k: int) -> np.ndarray:
+    """A1 top-k per (doc, source) by (e_rank ASC, cand ASC): the mask of the
+    kept rows.  ``doc_codes`` are dense, ``cand`` is unique per doc.
+
+    When some (doc, source) group holds more than ``k`` rows, the rows are
+    counted per (group, e_rank step) if ``e_rank * 1024`` is integral and
+    the cells number at most _DENSE_CELLS_MAX: steps that end inside the
+    first ``k`` rows of their group are kept whole, and only the step that
+    straddles the cut is ranked by ``cand``.  Otherwise one
+    :func:`packed_lexsort` ranks all rows.
+    """
+    grp = doc_codes * n_src + src_code
+    if not (np.bincount(grp) > k).any():
+        return np.ones(len(grp), dtype=bool)
+    n_grp = int(grp.max()) + 1
+    steps = _integral(e_rank * 1024.0)
+    if steps is not None:
+        step, lo, hi = steps
+        n_steps = hi - lo + 1
+    if steps is None or n_grp * n_steps > _DENSE_CELLS_MAX:
+        o = packed_lexsort((cand, e_rank * 1024.0, grp), stable=False)
+        keep = np.empty(len(grp), dtype=bool)
+        keep[o] = _cumcount(grp[o]) < k
+        return keep
+    cell = grp * n_steps + (step - lo)
+    hist = np.bincount(cell, minlength=n_grp * n_steps)
+    cum = hist.reshape(n_grp, n_steps).cumsum(axis=1).ravel()
+    before = cum - hist
+    keep = (cum <= k)[cell]
+    s = np.flatnonzero(((before < k) & (cum > k))[cell])  # the straddling steps
+    o = s[packed_lexsort((cand[s], cell[s]), stable=False)]
+    keep[o] = _cumcount(cell[o]) < k - before[cell[o]]
+    return keep
 
 
 def annotated_mask(
@@ -731,8 +809,9 @@ def score_slim(
     plus an optional ``row``: each candidate's index into the Arrow string
     array ``lang`` (default: its own position).  Same winners as
     :func:`score_partition` (shared DuckDB oracle), on exact dyadics: the
-    dedup and top-k orders are :func:`packed_lexsort` argsorts, and lexical
-    and description scores are computed for the top-k rows only.
+    HSP dedup (:func:`hsp_dedup`) and the top-k (:func:`top_k_rows`) count
+    cells where the input allows and sort otherwise, and lexical and
+    description scores are computed for the top-k rows only.
     """
     names = np.asarray([s.name for s in cfg.sources], dtype=object)
     w_by_code = np.asarray([float(s.weight) for s in cfg.sources])
@@ -750,24 +829,15 @@ def score_slim(
     ms0 = np.asarray(cols["match_score"], dtype=np.float64)
     ing0 = np.asarray(cols["ingest_seq"], dtype=np.int64)
 
-    # S4 HSP dedup: first per (doc, cand) under (ms DESC, ingest ASC); the
-    # stable sort keeps full ties in row order
-    order = packed_lexsort((ing0, -ms0, ord0, doc0))
-    d_s, o_s = doc0[order], ord0[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (d_s[1:] != d_s[:-1]) | (o_s[1:] != o_s[:-1])
-    sel = order[first]
-
+    sel = hsp_dedup(doc0, ord0, ms0, ing0)
     doc, ordv, ms = doc0[sel], ord0[sel], ms0[sel]
     src_code = np.asarray(cols["src_code"], dtype=np.int64)[sel]
     ov = np.asarray(cols["ov_q"], dtype=np.float64)[sel]
     e_rank = np.asarray(cols["e_rank"], dtype=np.float64)[sel]
     w_src = w_by_code[src_code]
 
-    # dense doc codes (rows are (doc, cand)-sorted -> run boundaries)
-    new_doc = np.ones(len(doc), dtype=bool)
-    new_doc[1:] = doc[1:] != doc[:-1]
-    doc_codes = np.cumsum(new_doc) - 1
+    # dense doc codes (the deduped rows are doc-sorted -> run boundaries)
+    doc_codes = np.cumsum(_run_starts(doc), dtype=np.int64) - 1
     n_docs = int(doc_codes[-1]) + 1
 
     tot_bit = np.bincount(doc_codes, weights=ms, minlength=n_docs)
@@ -790,14 +860,9 @@ def score_slim(
     cls_sizes = np.diff(catalog.class_offsets)
     ccls = catalog.tok_class[ordv].astype(np.int64)
 
-    # A1 top-k per (doc, source): (e_rank ASC, cand_ord ASC); the keys are
-    # unique per row, so the sort need not be stable
-    korder = packed_lexsort((ordv, e_rank * 1024.0, src_code, doc_codes), stable=False)
-    ds_key = doc_codes * (len(cfg.sources) + 1) + src_code
-    rank = _cumcount(ds_key[korder])
-    topk_mask = np.zeros(len(doc), dtype=bool)
-    topk_mask[korder] = rank < cfg.top_k
-    t = np.flatnonzero(topk_mask)  # top-k rows, (doc, cand) order
+    t = np.flatnonzero(
+        top_k_rows(doc_codes, src_code, e_rank, ordv, len(cfg.sources), cfg.top_k)
+    )  # top-k rows, doc-sorted
     t_doc, t_cls = doc_codes[t], ccls[t]
 
     if n_tok_names * max(n_docs, n_classes) <= _DENSE_CELLS_MAX:
@@ -806,6 +871,7 @@ def score_slim(
             catalog.class_incidence = class_incidence(
                 catalog.class_offsets, csr_tok, n_tok_names
             )
+        inc = catalog.class_incidence
         ckey = doc_codes * n_classes + ccls
         Mc = n_docs * n_classes
         per_cls = np.stack(
@@ -814,9 +880,7 @@ def score_slim(
         # A2 per-(doc, token) sums of the three per-(doc, class) sums in one
         # product; every summand is an exact dyadic, so the order the
         # product adds them in cannot change a bit
-        cum_bit, cum_db, cum_ov = (per_cls @ catalog.class_incidence).reshape(
-            3, n_docs, n_tok_names
-        )
+        cum_bit, cum_db, cum_ov = (per_cls @ inc).reshape(3, n_docs, n_tok_names)
 
         with np.errstate(divide="ignore", invalid="ignore"):
             ts2 = (
@@ -827,20 +891,24 @@ def score_slim(
         ts2 = np.floor(ts2 * 1048576.0 + 0.5)
         ts2 /= 1048576.0  # (n_docs, n_tok_names)
 
-        # A6 high score over each doc's top-k candidates' classes
-        ts_gather = ts2[:, csr_tok]  # (n_docs, L)
-        cls_max = np.maximum.reduceat(ts_gather, cls_starts, axis=1)
-        hs = _segment_max(t_doc, cls_max[t_doc, t_cls], n_docs)
+        # A6 high score over each doc's top-k candidates' classes: one
+        # gather of each top-k row's class tokens, padded to the widest
+        # class by repeating its last token (max ignores repeats; a
+        # token-less class, never a valid candidate's, reads its neighbour)
+        pad = csr_tok[
+            cls_starts[:, None] + np.minimum(np.arange(cls_sizes.max()), cls_sizes[:, None] - 1)
+        ]
+        hs = _segment_max(t_doc, ts2[t_doc[:, None], pad[t_cls]].max(axis=1), n_docs)
 
         half = hs / 2.0
         informative2 = ts2 > half[:, None]
         ts_f2 = np.where(informative2, ts2, ts2 - half[:, None])
 
-        # A8 per-candidate sums via per-(doc, class) sums
-        cls_sum_tsf = np.add.reduceat(ts_f2[:, csr_tok], cls_starts, axis=1)
-        cls_n_inf = np.add.reduceat(
-            informative2[:, csr_tok].astype(np.float64), cls_starts, axis=1
-        )
+        # A8 per-(doc, class) sums as products with the incidence (exact
+        # dyadics again; a token a class lists twice counts twice)
+        cls_sum_tsf, cls_n_inf = (
+            np.concatenate([ts_f2, informative2]) @ inc.T
+        ).reshape(2, n_docs, n_classes)
         sum_ts = cls_sum_tsf[t_doc, t_cls]
         n_inf = cls_n_inf[t_doc, t_cls]
     else:

@@ -6,10 +6,13 @@ Dataset graph (SURVEY.md §7.2.2-7.2.5), all lazy/streaming:
       -> map_batches(pages_batch_from_documents) # synth pages (test corpus)
       -> map_batches(extract_text_batch)         # byte-identical extraction
       -> map_batches(fused mention+score)        # zero-shuffle winners
-      -> map_batches(emit doc triples)           # broadcast attr transfer
-         + union(entity triples from distinct winner entities)
+      -> repartition(250k rows per block)        # streaming coalesce
+      -> map_batches(emit)                       # doc triples (broadcast attr
+                                                 # transfer) + the block's
+                                                 # entity triples
       -> sort(subj, pred, obj)                   # the one required all-to-all
-      [-> write_parquet]
+      -> map_batches(drop_adjacent_duplicates)   # entities won in many blocks
+      [-> write_parquet]                         # one execution in all
 
     The general (external-candidates) path keeps the explicit doc-keyed
     shuffle: mention detection emits the slim candidates table, then
@@ -164,19 +167,10 @@ def winners_dataset_fused(
     )
 
 
-def kg_triples(
-    ctx: PipelineContext,
-    from_pages: bool = True,
-    sort: bool = True,
-    fused: bool = True,
-    docs: ray.data.Dataset | None = None,
-) -> ray.data.Dataset:
+def kg_triples(ctx: PipelineContext, docs: ray.data.Dataset | None = None) -> ray.data.Dataset:
     """The flagship: deduplicated, sorted (subj, pred, obj) edge table."""
-    if fused:
-        winners = winners_dataset_fused(ctx, from_pages=from_pages, docs=docs)
-    else:
-        winners = winners_dataset(ctx, from_pages=from_pages)
-    return materialize_graph(winners, ctx.catalog_ref, ctx.attrs_ref, ctx.cfg, sort=sort)
+    winners = winners_dataset_fused(ctx, docs=docs)
+    return materialize_graph(winners, ctx.catalog_ref, ctx.attrs_ref, ctx.cfg)
 
 
 def kg_triples_checkpointed(

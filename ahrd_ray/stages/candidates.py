@@ -95,6 +95,15 @@ class MentionDetector:
         )
         tids_arr = np.asarray(tids, dtype=np.int64)
         ords_arr = np.asarray(ords, dtype=np.int64)
+        if slim:
+            # validity pre-filter (M8) in the alias table itself: invalid
+            # rows contribute to no aggregate, so a slim detector never fans
+            # them out.  span_end - span_start is the token length, and
+            # cand_end > cand_start and match_score >= MS_OFF > 0 hold for
+            # every link, so validity is a property of the (token, entry)
+            # pair alone.
+            ok = bundle.arrays.valid[ords_arr] & (self.token_len_of[tids_arr] > 0)
+            tids_arr, ords_arr = tids_arr[ok], ords_arr[ok]
         order = np.argsort(tids_arr, kind="stable")  # stable: keeps the
         # original per-tid alias order, so the gather emits rows in the
         # exact order the old merge did
@@ -108,16 +117,15 @@ class MentionDetector:
             [src_order[s] for s in bundle.arrays.source], dtype=np.int8
         )
         self.cand_len_of = np.asarray(bundle.arrays.cand_len, dtype=np.int64)
-        self.valid_of = bundle.arrays.valid
 
     @staticmethod
     def _first_occurrence(low, p_row, p_tid, tok_by_id) -> np.ndarray:
         """1-based first-occurrence position (DuckDB strpos semantics) per
         (doc-row, token) pair.
 
-        pc.find_substring grouped by token (one C kernel call per DISTINCT
-        token in the batch) reports BYTE offsets; strpos/str.find semantics
-        need CHARACTER offsets.  Round 3 gated the kernel on the WHOLE batch
+        pc.find_substring (one C kernel call per DISTINCT token over the
+        whole batch, gathered by ``p_row``) reports BYTE offsets;
+        strpos/str.find semantics need CHARACTER offsets.  Round 3 gated the kernel on the WHOLE batch
         being pure ASCII and fell back to a per-pair Python ``str.find``
         loop otherwise — one CJK/emoji doc degraded every pair of the batch
         (VERDICT r3 item #3).  Now the kernel runs unconditionally and the
@@ -130,17 +138,11 @@ class MentionDetector:
         the correction entirely (one SIMD any() over the data buffer)."""
         if isinstance(low, pa.ChunkedArray):
             low = low.combine_chunks()
-        byte_pos = np.empty(len(p_row), dtype=np.int64)
-        order = np.argsort(p_tid, kind="stable")
-        st = p_tid[order]
-        seg = np.concatenate([[0], np.nonzero(np.diff(st))[0] + 1, [len(st)]])
-        for s, e in zip(seg[:-1], seg[1:]):
-            idx = order[s:e]
-            hay = low.take(pa.array(p_row[idx], type=pa.int64()))
-            pos = pc.find_substring(hay, pattern=tok_by_id[st[s]]).to_numpy(
-                zero_copy_only=False
-            )
-            byte_pos[idx] = pos
+        toks, tok_of_pair = np.unique(p_tid, return_inverse=True)
+        byte_pos = np.stack(
+            [pc.find_substring(low, pattern=tok_by_id[t]).to_numpy(zero_copy_only=False)
+             for t in toks]
+        ).astype(np.int64, copy=False)[tok_of_pair, p_row]
         # byte -> char correction over the original array's data buffer
         off_dtype = np.int64 if pa.types.is_large_string(low.type) else np.int32
         offs = np.frombuffer(low.buffers()[1], dtype=off_dtype)[
@@ -198,15 +200,14 @@ class MentionDetector:
         # the per-candidate fan-out only does integer math
         return p_row, p_tid, self._first_occurrence(low, p_row, p_tid, self.tok_by_id)
 
-    def _links(self, batch: pa.Table, valid_only: bool = False) -> dict | None:
+    def _links(self, batch: pa.Table) -> dict | None:
         """Per-candidate numpy columns of ``batch`` (``row`` is the
-        candidate's doc row, nondecreasing), or None without a mention.
-        ``valid_only`` applies the validity pre-filter (M8) before the
-        columns it does not read are derived."""
+        candidate's doc row, nondecreasing), or None without a mention; a
+        slim detector's alias table holds valid links only."""
         pairs = self._pairs(batch)
-        return None if pairs is None else self._fan_out(batch, *pairs, valid_only=valid_only)
+        return None if pairs is None else self._fan_out(batch, *pairs)
 
-    def _fan_out(self, batch, p_row, p_tid, p_ingest, valid_only: bool = False) -> dict | None:
+    def _fan_out(self, batch, p_row, p_tid, p_ingest) -> dict | None:
         """:meth:`_links` of the pairs ``p_row``/``p_tid``/``p_ingest`` of
         ``batch`` (any doc-contiguous slice of :meth:`_pairs`)."""
         doc_ids = batch["doc_id"].to_numpy()
@@ -231,14 +232,6 @@ class MentionDetector:
         match_score = (
             (ords * spec.MS_MULT_P + d * spec.MS_MULT_D + tok_len) % spec.MS_MOD + spec.MS_OFF
         ).astype(np.float64)
-        if valid_only:
-            # span_end - span_start is tok_len, and cand_end - cand_start =
-            # 1 + (ords + d) % CEND_MOD is always >= 1
-            ok = self.valid_of[ords] & (tok_len > 0) & (match_score > 0)
-            if not ok.all():
-                row, ords, tok_len, ingest, d, match_score = (
-                    v[ok] for v in (row, ords, tok_len, ingest, d, match_score)
-                )
         cand_start = 1 + (ords % spec.CSTART_MOD)
         return {
             "row": row,
@@ -257,12 +250,10 @@ class MentionDetector:
     def slim_columns(self, batch: pa.Table) -> dict | None:
         """The slim candidate columns as numpy arrays (SLIM_SCHEMA names but
         ``lang``, plus ``row``, the doc row in ``batch``), or None."""
-        # validity pre-filter (M8): invalid rows contribute to no aggregate,
-        # so dropping them map-side is semantics-preserving
-        return self._slim(self._links(batch, valid_only=True))
+        return self._slim(self._links(batch))
 
     def _slim(self, c: dict | None) -> dict | None:
-        """:meth:`slim_columns` of the valid-only link columns ``c``."""
+        """:meth:`slim_columns` of the link columns ``c``."""
         if c is None:
             return None
         ords = c["cand_ord"]
@@ -352,8 +343,8 @@ class FusedMentionScorer(MentionDetector):
     # candidates per kernel call: the fan-out and the kernel's intermediates
     # grow with candidates, not docs, so the fused scorer cuts each task
     # batch at doc boundaries every CHUNK_CANDIDATES candidates (a doc above
-    # the budget gets a chunk of its own).  A 2^17 budget puts ~36
-    # `headline` docs (~3,600 fanned-out candidates each) in a chunk, inside
+    # the budget gets a chunk of its own).  A 2^17 budget puts ~45
+    # `headline` docs (~2,890 valid candidates each) in a chunk, inside
     # the measured 32-64-doc optimum, and a whole 256-doc
     # `wide_small_catalog` batch (~31 candidates each) in one.
     CHUNK_CANDIDATES = 1 << 17
@@ -368,8 +359,8 @@ class FusedMentionScorer(MentionDetector):
 
     def _chunks(self, p_row: np.ndarray, p_tid: np.ndarray) -> list[tuple[int, int]]:
         """Doc-contiguous ``[start, end)`` slices of the pairs, each with at
-        most CHUNK_CANDIDATES candidates (the alias fan-out before the
-        validity filter, read off the CSR offsets) or a single doc."""
+        most CHUNK_CANDIDATES candidates (the valid alias fan-out, read off
+        the CSR offsets) or a single doc."""
         offs = self.alias_offsets
         cum = np.concatenate([[0], np.cumsum(offs[p_tid + 1] - offs[p_tid])])
         edges = np.flatnonzero(np.r_[True, p_row[1:] != p_row[:-1], True])
@@ -388,7 +379,7 @@ class FusedMentionScorer(MentionDetector):
             return WINNERS_SCHEMA.empty_table()
         outs = []
         for a, b in self._chunks(pairs[0], pairs[1]):
-            cols = self._slim(self._fan_out(batch, *(p[a:b] for p in pairs), valid_only=True))
+            cols = self._slim(self._fan_out(batch, *(p[a:b] for p in pairs)))
             if cols is not None:
                 outs.append(
                     score_slim(cols, batch["lang"], self.bundle.arrays, self.cfg, self.has_attr)

@@ -2,20 +2,22 @@
 
 winners -> attribute transfer (broadcast map lookup, analogue of the GOA
 join AHRD.java:233-240) -> (subj, pred, obj) edge table -> global sort ->
-partitioned Parquet.
+partitioned Parquet, as one streaming plan (one execution per write).
 
-Dedup by construction (no dedup shuffle):
+Dedup without a dedup shuffle:
 
 * doc-scoped triples (subj = url) are emitted once per winner row and are
   unique because a doc has exactly one winner;
-* entity-scoped triples (labels, entity attrs) are generated from
-  ``distinct winner entities x broadcast catalog/attrs`` — the distinct set
-  is obtained with ``unique("cand_ord")`` (per-block combiner + tiny merge),
-  so a hot entity linked from millions of docs contributes one row per block
-  to the aggregate, never a skewed dedup group.  Output cardinality is
-  bounded by the catalog dimension, not the corpus.
+* entity-scoped triples (labels, entity attrs) are generated per winners
+  block from ``the block's distinct winner entities x broadcast
+  catalog/attrs``, so a hot entity linked from millions of docs contributes
+  one row per block, never a skewed dedup group, and output cardinality is
+  bounded by the catalog dimension, not the corpus.  An entity that wins in
+  several blocks yields equal rows; the global sort the edge table needs
+  anyway makes them adjacent inside one block (each sort reducer returns
+  one merged block per key range), where a per-block pass drops them.
 
-The only remaining all-to-all is the required global sort of the edge table.
+The only all-to-all is that required global sort of the edge table.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 
@@ -124,35 +127,47 @@ def entity_triples_table(
     )
 
 
+def drop_adjacent_duplicates(t: pa.Table) -> pa.Table:
+    """The (subj, pred, obj) rows of the sorted block ``t`` that differ from
+    the row before them (nulls equal nulls)."""
+    t = t.select(TRIPLE_SCHEMA.names)
+    n = t.num_rows
+    if n < 2:
+        return t
+    same = None
+    for col in t.columns:
+        a, b = col.slice(1), col.slice(0, n - 1)
+        eq = pc.fill_null(pc.equal(a, b), pc.and_(pc.is_null(a), pc.is_null(b)))
+        same = eq if same is None else pc.and_(same, eq)
+    return t.filter(pa.concat_arrays([pa.array([True]), pc.invert(same).combine_chunks()]))
+
+
 def materialize_graph(
     winners: "ray.data.Dataset",
     catalog_ref,
     attrs_ref,
     cfg: EngineConfig,
-    sort: bool = True,
 ) -> "ray.data.Dataset":
-    """winners -> deduplicated (sorted) triple Dataset.
+    """winners -> deduplicated, sorted triple Dataset, one streaming plan:
+    each winners block emits its doc triples plus the entity triples of its
+    distinct ``cand_ord``s, the global sort brings equal rows together, and
+    a per-block pass drops them."""
+    doc_triples = make_doc_triple_emitter(attrs_ref, cfg)
 
-    ``winners`` is consumed twice (doc triples + distinct entity set), so it
-    is materialized here; the checkpointed pipeline variant persists it to
-    Parquet instead (state/checkpoint.py)."""
-    import ray.data
+    def emit(batch: pd.DataFrame) -> pa.Table:
+        if len(batch) == 0:
+            return TRIPLE_SCHEMA.empty_table()
+        ents = entity_triples_table(batch["cand_ord"].unique(), catalog_ref, attrs_ref)
+        return pa.concat_tables([doc_triples(batch), ents])
 
     # coalesce the many small fused-stage output blocks first — sort cost on
-    # tiny blocks is scheduling-bound and grows with cluster size otherwise
-    winners = winners.repartition(target_num_rows_per_block=250_000).materialize()
-    doc_triples = winners.map_batches(
-        make_doc_triple_emitter(attrs_ref, cfg), batch_format="pandas"
+    # tiny blocks is scheduling-bound and grows with cluster size otherwise,
+    # and every block repeats its entities' triples
+    return (
+        winners.repartition(target_num_rows_per_block=250_000)
+        .map_batches(emit, batch_format="pandas")
+        .sort(["subj", "pred", "obj"])
+        # the sort leaves pandas-formatted blocks; the dedup returns Arrow,
+        # so the edge table's schema is (subj: string, pred: string, obj: string)
+        .map_batches(drop_adjacent_duplicates, batch_format="pyarrow")
     )
-    ent_tbl = entity_triples_table(
-        winners.unique("cand_ord"), catalog_ref, attrs_ref
-    )
-    triples = doc_triples.union(ray.data.from_arrow(ent_tbl))
-    if sort:
-        triples = triples.sort(["subj", "pred", "obj"])
-        # the sort leaves pandas-formatted blocks; normalize to Arrow so the
-        # edge table's schema is (subj: string, pred: string, obj: string)
-        triples = triples.map_batches(
-            lambda t: t.select(["subj", "pred", "obj"]), batch_format="pyarrow"
-        )
-    return triples

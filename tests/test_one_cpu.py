@@ -18,6 +18,7 @@ import sys
 
 QUERIES = [
     "kg_candidates",
+    "kg_triples",
     "kg_attrs_present",
     "kg_external_quarantine",
     "ev_scores_file",

@@ -32,6 +32,56 @@ def test_flagship_triples(ctx):
     assert {"kg:linked_entity", "kg:description", "kg:quality", "kg:label"} <= preds
 
 
+def test_materialize_graph_merges_entities_across_blocks(ctx):
+    """Winners spread over many blocks that all share their entities, sorted
+    through several reducers: each entity triple appears once, and the rows
+    are strictly increasing doc triples plus the distinct entities'
+    triples."""
+    import pandas as pd
+    import pyarrow as pa
+    import ray
+
+    from ahrd_ray.stages.canonicalize import (
+        entity_triples_table,
+        make_doc_triple_emitter,
+        materialize_graph,
+    )
+
+    arr = ctx.bundle.arrays
+    annotated = ctx.annotated_shorts()
+    ords = np.asarray([o for o in np.flatnonzero(arr.valid) if arr.cand_short[o] in annotated][:7])
+    assert len(ords) == 7
+    n = 1200
+    o = ords[np.arange(n) % len(ords)]
+    w = pd.DataFrame(
+        {
+            "doc_id": np.arange(n, dtype=np.int64),
+            "lang": "en",
+            "cand_ord": o,
+            "cand_id": arr.cand_id[o],
+            "cand_short": arr.cand_short[o],
+            "description": arr.description[o],
+            "quality_code": "*-*",
+        }
+    )
+    blocks = [w.iloc[i : i + 100] for i in range(0, n, 100)]
+    ds = materialize_graph(
+        ray.data.from_pandas(blocks), ctx.catalog_ref, ctx.attrs_ref, ctx.cfg
+    ).materialize()
+    assert ds.num_blocks() > 1
+    got = [(r["subj"], r["pred"], r["obj"]) for r in ds.take_all()]
+
+    want = pa.concat_tables(
+        [
+            make_doc_triple_emitter(ctx.attrs_ref, ctx.cfg)(w),
+            entity_triples_table(ords, ctx.catalog_ref, ctx.attrs_ref),
+        ]
+    )
+    want = sorted(zip(*(want[c].to_pylist() for c in ("subj", "pred", "obj"))))
+    assert all(a < b for a, b in zip(got, got[1:]))
+    assert got == want
+
+
 def test_every_doc_gets_annotation(ray_session):
     from ahrd_ray.pipelines.queriesdef import q_annotations
 

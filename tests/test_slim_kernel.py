@@ -2,13 +2,16 @@
 pair dedup and dense token-sum helpers, a batch whose middle chunk yields no
 candidate, and winners that do not depend on the chunk budget or the plan."""
 
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ahrd_ray.config import DEFAULT_CONFIG
@@ -86,6 +89,57 @@ def test_pick_winners_matches_lexsort(rows, rnd):
     first = np.ones(len(order), dtype=bool)
     first[1:] = seg[order][1:] != seg[order][:-1]
     assert np.array_equal(pick_winners(seg, score, cand), order[first])
+
+
+@st.composite
+def slim_rows(draw):
+    """Doc-sorted candidate rows over few docs, entries, scores, ingest
+    positions and e_rank steps, so (doc, cand) cells repeat and tie, and a
+    small top-k cuts through e_rank steps."""
+    n = draw(st.integers(1, 60))
+    col = lambda vals: np.asarray(draw(st.lists(vals, min_size=n, max_size=n)))
+    doc = np.sort(col(st.integers(0, 3))).astype(np.int64) * 7 + 100
+    cand = col(st.integers(0, 6)).astype(np.int64) + 5000
+    ms = col(st.sampled_from([3.0, 4.0]))
+    ingest = col(st.integers(1, 2)).astype(np.int64)
+    src = col(st.integers(0, 2)).astype(np.int64)
+    e_rank = col(st.integers(0, 3)) / 1024.0
+    return doc, cand, ms, ingest, src, e_rank, draw(st.integers(1, 4))
+
+
+# doc 100: cand 5000 three times with equal (ms, ingest) — the first row
+# wins — and five one-source candidates in two e_rank steps, cut at 3
+# inside the second step
+@example((
+    np.asarray([100] * 7), np.asarray([5000, 5001, 5000, 5002, 5003, 5004, 5000]),
+    np.asarray([4.0, 3.0, 4.0, 3.0, 3.0, 3.0, 4.0]), np.asarray([2, 1, 2, 1, 1, 1, 2]),
+    np.zeros(7, dtype=np.int64), np.asarray([0, 0, 0, 1, 1, 1, 0]) / 1024.0, 3,
+))
+@settings(max_examples=300, deadline=None)
+@given(slim_rows())
+def test_counted_dedup_and_top_k_match_sorts(rows):
+    """hsp_dedup and top_k_rows keep the same rows whether they count cells
+    or sort (forced by a zero cell budget), and the rows np.lexsort keeps."""
+    doc, cand, ms, ingest, src, e_rank, k = rows
+    order = np.lexsort((ingest, -ms, cand, doc))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (doc[order][1:] != doc[order][:-1]) | (cand[order][1:] != cand[order][:-1])
+    want = order[first]
+    with mock.patch.object(scoring, "_DENSE_CELLS_MAX", 0):
+        assert np.array_equal(scoring.hsp_dedup(doc, cand, ms, ingest), want)
+    assert np.array_equal(scoring.hsp_dedup(doc, cand, ms, ingest), np.sort(want))
+
+    sel = np.sort(want)
+    codes = np.unique(doc[sel], return_inverse=True)[1].astype(np.int64)
+    args = (codes, src[sel], e_rank[sel], cand[sel], 3, k)
+    order = np.lexsort((cand[sel], e_rank[sel], src[sel], codes))
+    grp = (codes * 3 + src[sel])[order]
+    rank = np.arange(len(grp)) - np.searchsorted(grp, grp)
+    want_k = np.zeros(len(sel), dtype=bool)
+    want_k[order] = rank < k
+    assert np.array_equal(scoring.top_k_rows(*args), want_k)
+    with mock.patch.object(scoring, "_DENSE_CELLS_MAX", 0):
+        assert np.array_equal(scoring.top_k_rows(*args), want_k)
 
 
 def test_packed_lexsort_bit_budget(monkeypatch):
@@ -223,7 +277,8 @@ def test_fused_winners_independent_of_chunk_budget(bundle, annotated, monkeypatc
     chunk, a budget that only doc 0 exceeds, a few docs per chunk, the
     default and one chunk per batch all equal score_partition's winners.
     The candidate-free docs 64-127 sit between docs 0-31 and 32-63, so
-    chunk boundaries fall across them."""
+    chunk boundaries fall across them.  Candidates are counted off the
+    fused scorer's alias table, which holds valid links only."""
     bundle, batch = bundle
     cfg = DEFAULT_CONFIG
     shorts = frozenset(bundle.arrays.cand_short[::3]) if annotated else None
@@ -232,14 +287,14 @@ def test_fused_winners_independent_of_chunk_budget(bundle, annotated, monkeypatc
     p_row, p_tid, _ = fused._pairs(batch)
     offs = fused.alias_offsets
     per_doc = np.bincount(p_row, weights=offs[p_tid + 1] - offs[p_tid], minlength=batch.num_rows)
-    assert per_doc[0] > 30 >= per_doc[1:].max() and not per_doc[32:96].any()
+    assert per_doc[0] > 25 >= per_doc[1:].max() and not per_doc[32:96].any()
 
     cands = MentionDetector(bundle, cfg)(batch).to_pandas()
     ref = score_partition(cands, bundle.arrays, cfg, annotated_shorts=shorts, carry_cols=("lang",))
     ref = _sorted_by_doc(pa.Table.from_pandas(ref[WINNERS_SCHEMA.names], schema=WINNERS_SCHEMA, preserve_index=False))
     assert ref["doc_id"].to_pylist() == list(range(64))
 
-    for budget in (1, 30, 500, FusedMentionScorer.CHUNK_CANDIDATES, 1 << 40):
+    for budget in (1, 25, 500, FusedMentionScorer.CHUNK_CANDIDATES, 1 << 40):
         monkeypatch.setattr(FusedMentionScorer, "CHUNK_CANDIDATES", budget)
         chunks = fused._chunks(p_row, p_tid)
         assert chunks[0][0] == 0 and chunks[-1][1] == len(p_row)
@@ -249,7 +304,7 @@ def test_fused_winners_independent_of_chunk_budget(bundle, annotated, monkeypatc
             assert per_doc[np.unique(p_row[a:b])].sum() <= budget or p_row[a] == p_row[b - 1]
         if budget == 1:
             assert (31, 96) in {(p_row[b - 1], p_row[b]) for _, b in chunks[:-1]}
-        if budget == 30:
+        if budget == 25:
             assert p_row[chunks[0][1] - 1] == 0 and len(chunks) > 2
         got = fused(batch)
         assert got.schema == WINNERS_SCHEMA
@@ -257,12 +312,16 @@ def test_fused_winners_independent_of_chunk_budget(bundle, annotated, monkeypatc
 
 
 def test_dense_and_sparse_plans_agree(bundle, monkeypatch):
-    """The fixture's chunks take the dense plan; forcing the sparse plan
-    gives equal winners."""
+    """The fixture's chunks take the dense plan and count the HSP dedup and
+    top-k cells; forcing the sparse plan and the sorting dedup and top-k
+    gives equal winners, also under a top-k of 2 that cuts most docs'
+    (doc, source) groups."""
     bundle, batch = bundle
-    fused = FusedMentionScorer(bundle, DEFAULT_CONFIG)
-    bundle.arrays.class_incidence = None
-    dense = fused(batch)
-    assert bundle.arrays.class_incidence is not None
-    monkeypatch.setattr(scoring, "_DENSE_CELLS_MAX", 0)
-    assert fused(batch).equals(dense)
+    for top_k in (DEFAULT_CONFIG.top_k, 2):
+        fused = FusedMentionScorer(bundle, dataclasses.replace(DEFAULT_CONFIG, top_k=top_k))
+        bundle.arrays.class_incidence = None
+        dense = fused(batch)
+        assert bundle.arrays.class_incidence is not None
+        with monkeypatch.context() as m:
+            m.setattr(scoring, "_DENSE_CELLS_MAX", 0)
+            assert fused(batch).equals(dense)
