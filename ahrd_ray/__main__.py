@@ -44,13 +44,13 @@ def main(argv: list[str] | None = None) -> int:
                    help="input.yml (S1): engine weights/sources + optional "
                         "input_dir/output run metadata")
     t.add_argument("--checkpoint", action="store_true",
-                   help="use checkpoint-resumable stage boundaries")
-    t.add_argument("--shards", type=int, default=0,
-                   help="with --checkpoint: partition-granular resume over N "
-                        "input-file shards (a killed run re-does only "
-                        "unfinished partitions)")
+                   help="checkpoint under OUT.ckpt and resume from it: the "
+                        "winners per input-file shard, then the triples")
+    t.add_argument("--shards", type=int, default=8,
+                   help="with --checkpoint: the number of input-file shards "
+                        "(a killed run re-does only unfinished shards)")
     t.add_argument("--stable-shards", action="store_true",
-                   help="with --shards: hash-of-path shard assignment so a "
+                   help="with --checkpoint: hash-of-name shard assignment so a "
                         "grown corpus dirties only the shards holding new "
                         "files (incremental ingest); default is size-balanced")
     t.add_argument("--num-cpus", type=int, default=8)
@@ -90,13 +90,11 @@ def main(argv: list[str] | None = None) -> int:
                 out = doc.get("output", out)
             args.out = out
             ctx = kg.PipelineContext(sf_dir, cfg) if cfg else kg.PipelineContext(sf_dir)
-            if args.checkpoint and args.shards:
+            if args.checkpoint:
                 ds = kg.kg_triples_sharded(
                     ctx, args.out + ".ckpt",
                     num_shards=args.shards, stable=args.stable_shards,
                 )
-            elif args.checkpoint:
-                ds = kg.kg_triples_checkpointed(ctx, args.out + ".ckpt")
             else:
                 ds = kg.kg_triples(ctx)
             print(f"wrote {write_parquet_rows(ds, args.out)} triples to {args.out}")

@@ -125,10 +125,6 @@ class EngineConfig:
     # so each partition holds many docs (vectorized kernel) while giving the
     # scheduler >> num_cluster_cores units of work.
     num_score_partitions: int = 64
-    # CPUs reserved per scoring task: the kernel is memory-bandwidth-bound,
-    # so running one task per logical core thrashes; 2 CPUs/task halves the
-    # concurrency and (measured) halves wall time at 32 cores.
-    score_num_cpus: float = 2.0
 
     def __post_init__(self) -> None:
         s = round(
@@ -177,7 +173,6 @@ _ENGINE_KEYS = {
     "prefer_annotated": bool,
     "f_beta": float,
     "num_score_partitions": int,
-    "score_num_cpus": float,
 }
 
 _SOURCE_KEYS = {

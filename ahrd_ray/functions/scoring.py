@@ -6,15 +6,17 @@ Three layers:
   pytest conformance suite that ports the JUnit numeric assertions
   (``TokenScoreCalculatorTest``, ``LexicalScoreCalculatorTest``,
   ``DescriptionScoreCalculatorTest``);
-* :func:`score_partition` — the vectorized multi-document kernel executed
-  inside the doc-keyed shuffle stage.  It processes ALL docs of a hash
-  partition at once with column operations (no per-row Python in the hot
-  path);
+* :func:`score_partition` — the vectorized multi-document reference
+  kernel, run by the doc-keyed group scorer for external candidate tables
+  and by the evaluation and training stages.  It processes ALL docs of a
+  hash partition at once with column operations (no per-row Python in the
+  hot path);
 * :func:`score_slim` — the production kernel over the numeric slim
   candidate layout, run by the fused detect+score stage on doc-contiguous
   slices of at most ``FusedMentionScorer.CHUNK_CANDIDATES`` candidates (and
-  through :func:`score_partition_slim` by the slim shuffle stage); it
-  returns the winners as an Arrow table.
+  through :func:`score_partition_slim` on a slim candidate DataFrame by
+  perfbench's traced replay and the tests); it returns the winners as an
+  Arrow table.
 
 Determinism contract (deviations from the reference, all documented):
 
@@ -1022,8 +1024,9 @@ def score_partition_slim(
     cfg: EngineConfig,
     annotated_shorts: frozenset[str] | None = None,
 ) -> pd.DataFrame:
-    """:func:`score_slim` over a slim candidate DataFrame (the doc-keyed
-    shuffle path): one winner row per doc, with its ``lang``."""
+    """:func:`score_slim` over a slim candidate DataFrame (as
+    ``MentionDetector(slim=True)`` emits it): one winner row per doc, with
+    its ``lang``."""
     cols = {c: df[c].to_numpy() for c in SLIM_COLUMNS if c != "lang"}
     lang = pa.array(df["lang"], from_pandas=True)
     has_attr = annotated_mask(catalog, annotated_shorts)

@@ -6,7 +6,7 @@ Dataset graph (SURVEY.md §7.2.2-7.2.5), all lazy/streaming:
       -> map_batches(pages_batch_from_documents) # synth pages (test corpus)
       -> map_batches(extract_text_batch)         # byte-identical extraction
       -> map_batches(fused mention+score)        # zero-shuffle winners
-      -> repartition(250k rows per block)        # streaming coalesce
+      -> repartition(250k rows per block)        # splits oversized blocks only
       -> map_batches(emit)                       # doc triples (broadcast attr
                                                  # transfer) + the block's
                                                  # entity triples
@@ -14,10 +14,11 @@ Dataset graph (SURVEY.md §7.2.2-7.2.5), all lazy/streaming:
       -> map_batches(drop_adjacent_duplicates)   # entities won in many blocks
       [-> write_parquet]                         # one execution in all
 
-    The general (external-candidates) path keeps the explicit doc-keyed
-    shuffle: mention detection emits the slim candidates table, then
-    groupby(spart).map_groups(score) — both paths are proven equivalent by
-    the shared DuckDB oracle.
+:func:`kg_triples_sharded` is the same plan with resume: the fused winners
+are checkpointed per input-file shard, the triples stage once.  Externally
+supplied candidate tables, which the fused stage cannot take, are scored by
+``groupby(spart).map_groups`` (``queriesdef.q_external_winners``); both
+paths match the same DuckDB oracle.
 
 Broadcast small sides: tokenized catalog + attr map are ``ray.put`` once and
 read zero-copy once per worker process (never re-shipped per batch).  Every
@@ -45,7 +46,7 @@ from ahrd_ray.sources import spec
 from ahrd_ray.sources.tables import corpus_vocab_bottomk, read_documents
 from ahrd_ray.stages.candidates import FusedMentionScorer, MentionDetector
 from ahrd_ray.stages.canonicalize import materialize_graph
-from ahrd_ray.stages.score import per_worker, score_candidates
+from ahrd_ray.stages.score import per_worker
 
 
 def extract_text_batch(batch: pa.Table) -> pa.Table:
@@ -102,9 +103,7 @@ def cached_context(sf_dir: str) -> PipelineContext:
     return PipelineContext(sf_dir)
 
 
-def candidates_dataset(
-    ctx: PipelineContext, from_pages: bool = True, slim: bool = False
-) -> ray.data.Dataset:
+def candidates_dataset(ctx: PipelineContext, from_pages: bool = True) -> ray.data.Dataset:
     """Mention detection over extracted page text."""
     if from_pages:
         src = pages_dataset(ctx.sf_dir).map_batches(
@@ -113,22 +112,9 @@ def candidates_dataset(
     else:
         src = read_documents(ctx.sf_dir)
     return src.map_batches(
-        per_worker(MentionDetector, ctx.catalog_ref, ctx.cfg, slim),
+        per_worker(MentionDetector, ctx.catalog_ref, ctx.cfg),
         batch_format="pyarrow",
         zero_copy_batch=True,
-    )
-
-
-def winners_dataset(
-    ctx: PipelineContext,
-    from_pages: bool = True,
-    prefer_annotated: bool | None = None,
-) -> ray.data.Dataset:
-    cands = candidates_dataset(ctx, from_pages=from_pages, slim=True)
-    prefer = ctx.cfg.prefer_annotated if prefer_annotated is None else prefer_annotated
-    shorts = ctx.annotated_shorts() if prefer else None
-    return score_candidates(
-        cands, ctx.catalog_ref, ctx.cfg, annotated_shorts=shorts, slim=True
     )
 
 
@@ -141,23 +127,18 @@ FUSED_BATCH_SIZE = 256
 
 def winners_dataset_fused(
     ctx: PipelineContext,
-    from_pages: bool = True,
     prefer_annotated: bool | None = None,
     docs: ray.data.Dataset | None = None,
 ) -> ray.data.Dataset:
     """Zero-shuffle winners: fused mention-detection + scoring stage.
 
     Valid because all candidates of a doc originate from the doc's own row
-    (see FusedMentionScorer); equivalent to :func:`winners_dataset` (same
-    oracle, pytest equality check).  Plain tasks with a per-worker-cached
+    (see FusedMentionScorer).  Plain tasks with a per-worker-cached
     scorer: the setup-once amortization of an actor pool without its
     startup lag (measured 0.97 scaling efficiency vs 0.63 for a pool)."""
-    if from_pages:
-        src = pages_dataset(ctx.sf_dir, docs=docs).map_batches(
-            extract_text_batch, batch_format="pyarrow", zero_copy_batch=True
-        )
-    else:
-        src = docs if docs is not None else read_documents(ctx.sf_dir)
+    src = pages_dataset(ctx.sf_dir, docs=docs).map_batches(
+        extract_text_batch, batch_format="pyarrow", zero_copy_batch=True
+    )
     prefer = ctx.cfg.prefer_annotated if prefer_annotated is None else prefer_annotated
     shorts = ctx.annotated_shorts() if prefer else None
     fused = per_worker(FusedMentionScorer, ctx.catalog_ref, ctx.cfg, shorts)
@@ -171,45 +152,6 @@ def kg_triples(ctx: PipelineContext, docs: ray.data.Dataset | None = None) -> ra
     """The flagship: deduplicated, sorted (subj, pred, obj) edge table."""
     winners = winners_dataset_fused(ctx, docs=docs)
     return materialize_graph(winners, ctx.catalog_ref, ctx.attrs_ref, ctx.cfg)
-
-
-def kg_triples_checkpointed(
-    ctx: PipelineContext, out_root: str, from_pages: bool = True
-) -> ray.data.Dataset:
-    """Flagship with checkpoint-resumable stage boundaries + lineage.
-
-    Three checkpointed stages (candidates -> winners -> triples); a rerun
-    with unchanged inputs/config reads finished stages from their Parquet
-    checkpoints instead of recomputing (SURVEY.md §4 'Checkpoint / resume').
-    """
-    from dataclasses import asdict
-
-    from ahrd_ray.state.checkpoint import run_stage
-
-    inputs = [f"{ctx.sf_dir}/documents.parquet", f"{ctx.sf_dir}/part.parquet"]
-    params = {"cfg": asdict(ctx.cfg), "sf_dir": ctx.sf_dir, "from_pages": from_pages}
-
-    cands = run_stage(
-        "candidates",
-        out_root,
-        lambda: candidates_dataset(ctx, from_pages=from_pages),
-        params,
-        inputs,
-    )
-    winners = run_stage(
-        "winners",
-        out_root,
-        lambda: score_candidates(cands, ctx.catalog_ref, ctx.cfg),
-        params,
-        inputs,
-    )
-    return run_stage(
-        "triples",
-        out_root,
-        lambda: materialize_graph(winners, ctx.catalog_ref, ctx.attrs_ref, ctx.cfg),
-        params,
-        inputs + [f"{ctx.sf_dir}/orders.parquet"],
-    )
 
 
 def kg_triples_sharded(
@@ -232,13 +174,17 @@ def kg_triples_sharded(
 
     The final triples stage (broadcast attr transfer + the one global sort)
     runs over the union of winner partitions and is stage-level checkpointed
-    keyed on the winner-partition manifests.
+    keyed on the winner-partition manifests.  Both stages are keyed on the
+    config and on the catalog's inputs (``part.parquet`` and the corpus
+    vocabulary its aliases are drawn from), so a changed catalog recomputes
+    every partition.
     """
     import glob as _glob
 
     from dataclasses import asdict
 
     from ahrd_ray.state.checkpoint import (
+        input_fingerprint,
         run_stage,
         run_stage_sharded,
         shard_input_files,
@@ -248,12 +194,16 @@ def kg_triples_sharded(
         doc_paths = sorted(_glob.glob(f"{ctx.sf_dir}/documents*.parquet")) or sorted(
             _glob.glob(f"{ctx.sf_dir}/documents.parquet/*.parquet")
         )
-    params = {"cfg": asdict(ctx.cfg), "from_pages": True}
+    params = {
+        "cfg": asdict(ctx.cfg),
+        "part": input_fingerprint([f"{ctx.sf_dir}/part.parquet"]),
+        "vocab": ctx.vocab,  # hashed with the rest of params
+    }
     shards = shard_input_files(doc_paths, num_shards, stable=stable)
 
     def build_shard(paths: list[str]) -> ray.data.Dataset:
         docs = ray.data.read_parquet(paths, columns=["doc_id", "text", "lang"])
-        return winners_dataset_fused(ctx, from_pages=True, docs=docs)
+        return winners_dataset_fused(ctx, docs=docs)
 
     winners = run_stage_sharded("winners", out_root, build_shard, params, shards)
     manifest_inputs = [

@@ -66,8 +66,9 @@ class MentionDetector:
     worker through ``per_worker``).
 
     ``slim=True`` emits the scoring-path table: validity pre-filtered,
-    overlap already quantized, source/lang as narrow codes — the shuffle then
-    carries only numeric columns (plus a dictionary-encodable lang)."""
+    overlap already quantized, source/lang as narrow codes — only numeric
+    columns (plus a dictionary-encodable lang), the input of
+    ``score_partition_slim``."""
 
     def __init__(self, catalog_ref, cfg: EngineConfig, slim: bool = False):
         bundle: CatalogBundle = get_broadcast(catalog_ref)
@@ -334,10 +335,11 @@ class FusedMentionScorer(MentionDetector):
     so the complete per-doc scoring state (HSP dedup, totals, cumulative
     token sums, top-k, winner) is local to the batch — no doc-keyed shuffle
     is needed.  Each chunk's numpy candidate columns go straight into the
-    kernel (:func:`score_slim`), which emits the winner rows as Arrow; the
-    groupby-based :mod:`ahrd_ray.stages.score` path remains the general
-    operator for externally-supplied candidate tables and is proven
-    equivalent by the shared DuckDB oracle and a pytest equality check.
+    kernel (:func:`score_slim`), which emits the winner rows as Arrow.
+    Externally supplied candidate tables go through the groupby scorer
+    (:func:`ahrd_ray.stages.score.make_group_scorer`) instead; both match
+    the same DuckDB winners oracle, and ``score_partition`` is the
+    reference the kernel is tested against.
     """
 
     # candidates per kernel call: the fan-out and the kernel's intermediates

@@ -160,9 +160,11 @@ def materialize_graph(
         ents = entity_triples_table(batch["cand_ord"].unique(), catalog_ref, attrs_ref)
         return pa.concat_tables([doc_triples(batch), ents])
 
-    # coalesce the many small fused-stage output blocks first — sort cost on
-    # tiny blocks is scheduling-bound and grows with cluster size otherwise,
-    # and every block repeats its entities' triples
+    # target_num_rows_per_block only splits blocks above the target and
+    # coalesces nothing (Ray 2.49), so every winners block still emits its
+    # own entities' triples.  The operator stays: perfbench's trace reads
+    # its task time by name, and without it emit would fuse into (and
+    # rename) the MapBatches(fused) operator.
     return (
         winners.repartition(target_num_rows_per_block=250_000)
         .map_batches(emit, batch_format="pandas")

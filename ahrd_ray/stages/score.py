@@ -1,11 +1,13 @@
-"""Doc-keyed scoring shuffle (operators S4, A1-A10).
+"""Per-worker state for plain-task stages, and the doc-keyed group scorer.
 
-ONE all-to-all: candidates are hash-partitioned by ``spart = doc_id % P``
-(P = cfg.num_score_partitions >> cluster cores) and each partition is scored
-by the vectorized kernel across ALL of its documents at once.  The top-k cap
-bounds per-group ranking state exactly like the reference's 200-cap
-(AHRD.java:160); the catalog rides along as a broadcast object, so the
-shuffle payload stays slim (no token lists, no descriptions).
+:func:`get_broadcast` reads a broadcast object once per worker process and
+:func:`per_worker` caches one stateful batch callable per worker process —
+together they give every stage the setup-once property of an actor pool on
+ordinary tasks.  :func:`make_group_scorer` is the ``map_groups`` function
+for candidate tables that arrive from outside (operators S4, A1-A10): rows
+hash-partitioned by ``spart = doc_id % cfg.num_score_partitions`` are
+scored by the vectorized kernel across all documents of a partition at
+once, with the catalog read from its broadcast.
 """
 
 from __future__ import annotations
@@ -67,57 +69,11 @@ def per_worker(cls, *args):
     return fn
 
 
-def make_group_scorer(
-    catalog_ref,
-    cfg: EngineConfig,
-    annotated_shorts: frozenset[str] | None = None,
-    quantize: bool = True,
-    carry_cols: tuple[str, ...] = ("lang",),
-):
+def make_group_scorer(catalog_ref, cfg: EngineConfig):
     """Build the map_groups fn.  ``catalog_ref`` is a ray.ObjectRef to a
     CatalogBundle (or the bundle itself when running without Ray)."""
 
     def score_group(df: pd.DataFrame) -> pd.DataFrame:
-        bundle = get_broadcast(catalog_ref)
-        return score_partition(
-            df,
-            bundle.arrays,
-            cfg,
-            annotated_shorts=annotated_shorts,
-            quantize=quantize,
-            carry_cols=carry_cols,
-        )
+        return score_partition(df, get_broadcast(catalog_ref).arrays, cfg)
 
     return score_group
-
-
-def make_slim_group_scorer(
-    catalog_ref, cfg: EngineConfig, annotated_shorts: frozenset[str] | None = None
-):
-    from ahrd_ray.functions.scoring import score_partition_slim
-
-    def score_group(df: pd.DataFrame) -> pd.DataFrame:
-        bundle = get_broadcast(catalog_ref)
-        return score_partition_slim(
-            df, bundle.arrays, cfg, annotated_shorts=annotated_shorts
-        )
-
-    return score_group
-
-
-def score_candidates(
-    candidates: "ray.data.Dataset",
-    catalog_ref,
-    cfg: EngineConfig,
-    annotated_shorts: frozenset[str] | None = None,
-    quantize: bool = True,
-    slim: bool = False,
-) -> "ray.data.Dataset":
-    """candidates -> winners (one row per doc with >=1 valid candidate)."""
-    if slim:
-        fn = make_slim_group_scorer(catalog_ref, cfg, annotated_shorts)
-    else:
-        fn = make_group_scorer(catalog_ref, cfg, annotated_shorts, quantize)
-    return candidates.groupby("spart").map_groups(
-        fn, batch_format="pandas", num_cpus=cfg.score_num_cpus
-    )

@@ -194,11 +194,7 @@ def run_benchmarks(sf_dir: str, num_cpus: int) -> dict:
     timings["candidates"] = round(time.perf_counter() - t0, 3)
 
     t0 = time.perf_counter()
-    n_winners = kg.winners_dataset(ctx).count()
-    timings["winners_groupby_path"] = round(time.perf_counter() - t0, 3)
-
-    t0 = time.perf_counter()
-    kg.winners_dataset_fused(ctx).count()
+    n_winners = kg.winners_dataset_fused(ctx).count()
     timings["winners_fused"] = round(time.perf_counter() - t0, 3)
 
     out_dir = f"/tmp/ahrd_ray_bench/triples_{num_cpus}"

@@ -90,118 +90,158 @@ def test_every_doc_gets_annotation(ray_session):
     assert (df["description"] != "").all()
 
 
-def test_checkpoint_resume(ctx, tmp_path):
-    import time
+def _split_documents(tmp_path, n: int) -> list[str]:
+    """The test corpus as ``n`` document files (the 100-TB corpus is many
+    files; one shard = a group of files)."""
+    import pyarrow.parquet as pq
 
-    from ahrd_ray.pipelines.kg import kg_triples_checkpointed
-    from ahrd_ray.state.checkpoint import load_manifest
+    t = pq.read_table(f"{SF}/documents.parquet")
+    size = -(-t.num_rows // n)
+    paths = []
+    for k in range(n):
+        p = str(tmp_path / f"documents_{k}.parquet")
+        pq.write_table(t.slice(k * size, size), p)
+        paths.append(p)
+    return paths
 
-    root = str(tmp_path / "ckpt")
-    t0 = time.perf_counter()
-    ds1 = kg_triples_checkpointed(ctx, root)
-    n1 = ds1.count()
-    cold = time.perf_counter() - t0
 
-    m = load_manifest(root, "winners")
-    assert m and m["complete"] and m["total_rows"] == 500
-    assert all(f["rows"] >= 0 for f in m["files"])
+def _sorted_triples(ds):
+    return ds.to_pandas().sort_values(["subj", "pred", "obj"]).reset_index(drop=True)
 
-    # resume: all three stages reused from checkpoints
-    t0 = time.perf_counter()
-    ds2 = kg_triples_checkpointed(ctx, root)
-    n2 = ds2.count()
-    warm = time.perf_counter() - t0
-    assert n2 == n1
-    assert warm < cold
-    # lineage files exist per stage
-    for stage in ["candidates", "winners", "triples"]:
-        mm = load_manifest(root, stage)
-        assert mm is not None and mm["complete"]
-        assert os.path.isdir(os.path.join(root, f"stage={stage}", "data"))
+
+def _manifest_mtimes(root: str) -> dict[str, float]:
+    import glob
+
+    return {
+        os.path.relpath(p, root): os.path.getmtime(p)
+        for p in glob.glob(f"{root}/stage=*/**/manifest.json", recursive=True)
+    }
 
 
 def test_sharded_partition_resume(ctx, tmp_path):
-    """Partition-granular resume: a run killed mid-stage recomputes ONLY the
-    unfinished partitions, and the sharded output equals the unsharded
-    flagship bit-for-bit."""
-    import pyarrow.parquet as pq
-
+    """Partition-granular resume: a rerun with unchanged inputs reuses every
+    stage, a run killed mid-stage recomputes ONLY the unfinished partitions,
+    and the sharded output equals the unsharded flagship bit-for-bit."""
     from ahrd_ray.pipelines.kg import kg_triples, kg_triples_sharded
-    from ahrd_ray.state.checkpoint import stage_metrics
+    from ahrd_ray.state.checkpoint import load_manifest, stage_metrics
 
-    # split the test corpus into 4 document files (the 100-TB corpus is many
-    # files; one shard = a group of files)
-    t = pq.read_table(f"{SF}/documents.parquet")
-    paths = []
-    for k in range(4):
-        p = str(tmp_path / f"documents_{k}.parquet")
-        pq.write_table(t.slice(k * 125, 125), p)
-        paths.append(p)
-
+    paths = _split_documents(tmp_path, 4)
     root = str(tmp_path / "ckpt")
-    ds = kg_triples_sharded(ctx, root, doc_paths=paths, num_shards=4)
-    got = ds.to_pandas().sort_values(["subj", "pred", "obj"]).reset_index(drop=True)
-    want = (
-        kg_triples(ctx).to_pandas().sort_values(["subj", "pred", "obj"]).reset_index(drop=True)
-    )
+    got = _sorted_triples(kg_triples_sharded(ctx, root, doc_paths=paths, num_shards=4))
+    want = _sorted_triples(kg_triples(ctx))
     assert got.equals(want)
 
     metrics = stage_metrics(root, "winners")
     assert len(metrics) == 4 and all(m["complete"] for m in metrics)
     assert sum(m["total_rows"] for m in metrics) == 500
+    m = load_manifest(root, "triples")
+    assert m and m["complete"] and m["total_rows"] == len(want)
+    assert sum(f["rows"] for f in m["files"]) == len(want)
+    assert os.path.isdir(os.path.join(root, "stage=triples", "data"))
+
+    # unchanged inputs: every stage is reused, no manifest is rewritten
+    mtimes = _manifest_mtimes(root)
+    assert len(mtimes) == 5
+    again = _sorted_triples(kg_triples_sharded(ctx, root, doc_paths=paths, num_shards=4))
+    assert again.equals(want)
+    assert _manifest_mtimes(root) == mtimes
 
     # simulate a mid-run failure: partition 2 lost, 0/1/3 finished
     import shutil as _sh
 
     p2 = os.path.join(root, "stage=winners", "part=00002")
     _sh.rmtree(p2)
-    mtimes = {
-        k: os.path.getmtime(os.path.join(root, "stage=winners", f"part={k:05d}", "manifest.json"))
-        for k in (0, 1, 3)
-    }
-    ds2 = kg_triples_sharded(ctx, root, doc_paths=paths, num_shards=4)
-    got2 = ds2.to_pandas().sort_values(["subj", "pred", "obj"]).reset_index(drop=True)
+    got2 = _sorted_triples(kg_triples_sharded(ctx, root, doc_paths=paths, num_shards=4))
     assert got2.equals(want)
     # finished partitions were NOT recomputed
-    for k, mt in mtimes.items():
-        assert (
-            os.path.getmtime(
-                os.path.join(root, "stage=winners", f"part={k:05d}", "manifest.json")
-            )
-            == mt
-        )
+    after = _manifest_mtimes(root)
+    for k in (0, 1, 3):
+        rel = os.path.join("stage=winners", f"part={k:05d}", "manifest.json")
+        assert after[rel] == mtimes[rel]
     # the lost partition was rebuilt
     assert os.path.isfile(os.path.join(p2, "manifest.json"))
 
 
 def test_corrupt_manifest_warns_and_recomputes(ctx, tmp_path, caplog):
-    """A corrupted manifest must NOT silently re-run a finished stage: the
-    resume path logs a warning naming the stage, treats it as incomplete,
-    and recomputes to the identical result (VERDICT r3 item 9)."""
+    """A corrupted manifest must NOT silently re-run finished work: the
+    resume path logs a warning naming the stage (and the partition of a
+    sharded stage), recomputes only what the manifest covered, and
+    reproduces the flagship's triples (VERDICT r3 item 9)."""
     import logging
 
-    from ahrd_ray.pipelines.kg import kg_triples_checkpointed
+    from ahrd_ray.pipelines.kg import kg_triples, kg_triples_sharded
     from ahrd_ray.state.checkpoint import load_manifest, manifest_path
 
+    paths = _split_documents(tmp_path, 4)
     root = str(tmp_path / "ckpt")
-    n1 = kg_triples_checkpointed(ctx, root).count()
+    want = _sorted_triples(kg_triples(ctx))
 
-    # corrupt the winners-stage manifest
-    with open(manifest_path(root, "winners"), "w", encoding="utf-8") as f:
+    def run():
+        return _sorted_triples(kg_triples_sharded(ctx, root, doc_paths=paths, num_shards=4))
+
+    assert run().equals(want)
+    mtimes = _manifest_mtimes(root)
+    part1 = os.path.join("stage=winners", "part=00001", "manifest.json")
+
+    # one winner partition's manifest: only that partition recomputes
+    with open(os.path.join(root, part1), "w", encoding="utf-8") as f:
         f.write("{not json")
-
+    caplog.clear()
     with caplog.at_level(logging.WARNING, logger="ahrd_ray.state.checkpoint"):
-        assert load_manifest(root, "winners") is None
+        assert run().equals(want)
     assert any(
-        "corrupt manifest" in r.message and "'winners'" in r.message
+        "corrupt manifest" in r.message and "'winners'" in r.message and "part 00001" in r.message
         for r in caplog.records
     )
+    after = _manifest_mtimes(root)
+    changed = {rel for rel in mtimes if after[rel] != mtimes[rel]}
+    # the triples stage is keyed on the part manifests, so it reruns too
+    assert changed == {part1, os.path.join("stage=triples", "manifest.json")}
+    with open(os.path.join(root, part1), encoding="utf-8") as f:
+        assert json.load(f)["complete"]
 
-    # resume recomputes the corrupted stage and restores a valid manifest
-    n2 = kg_triples_checkpointed(ctx, root).count()
-    assert n2 == n1
-    m = load_manifest(root, "winners")
+    # the triples manifest: the stage-level warning, then a recompute
+    with open(manifest_path(root, "triples"), "w", encoding="utf-8") as f:
+        f.write("{not json")
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="ahrd_ray.state.checkpoint"):
+        assert run().equals(want)
+    assert any(
+        "corrupt manifest" in r.message and "'triples'" in r.message
+        for r in caplog.records
+    )
+    m = load_manifest(root, "triples")
     assert m is not None and m["complete"]
+
+
+def test_sharded_resume_sees_catalog_change(ray_session, tmp_path):
+    """The catalog is built from ``part.parquet``: rewriting it must
+    invalidate the checkpoint, so the resumed run equals a fresh flagship
+    run over the new inputs rather than returning the old triples."""
+    import shutil
+
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from ahrd_ray.pipelines.kg import PipelineContext, kg_triples, kg_triples_sharded
+
+    sf = str(tmp_path / "sf")
+    shutil.copytree(SF, sf)
+    root = str(tmp_path / "ckpt")
+    old = _sorted_triples(kg_triples_sharded(PipelineContext(sf), root, num_shards=2))
+
+    part_path = f"{sf}/part.parquet"
+    part = pq.read_table(part_path)
+    i = part.schema.get_field_index("p_name")
+    pq.write_table(part.set_column(i, "p_name", pc.utf8_upper(part["p_name"])), part_path)
+    st = os.stat(part_path)
+    os.utime(part_path, (st.st_atime, st.st_mtime + 10))
+
+    ctx = PipelineContext(sf)
+    want = _sorted_triples(kg_triples(ctx))
+    assert not want.equals(old)
+    got = _sorted_triples(kg_triples_sharded(ctx, root, num_shards=2))
+    assert got.equals(want)
 
 
 def test_stable_sharding_incremental(ctx, tmp_path):
@@ -386,22 +426,6 @@ def test_langid_on_real_phrases():
     assert langid_score("das ist ein schönes Haus und ein Garten") == "de"
 
 
-def test_fused_equals_groupby_winners(ctx):
-    """The zero-shuffle fused path and the general groupby-shuffle path must
-    produce identical winners (same kernel, different physical plan)."""
-    from ahrd_ray.pipelines.kg import winners_dataset, winners_dataset_fused
-
-    cols = ["doc_id", "cand_id", "description", "description_score", "quality_code"]
-    a = winners_dataset(ctx).to_pandas()[cols].sort_values("doc_id").reset_index(drop=True)
-    b = (
-        winners_dataset_fused(ctx)
-        .to_pandas()[cols]
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    assert a.equals(b)
-
-
 def test_fused_operator_name(ctx):
     """The fused stage's operator is MapBatches(fused): the benchmark's
     traced run reads its task time from Dataset.stats() by that name."""
@@ -485,10 +509,13 @@ def _assert_matches_oracle(name, sf=SF):
     pd.testing.assert_frame_equal(a, b, check_exact=True)
 
 
-@pytest.mark.parametrize("name", ["kg_winners", "kg_winners_annotated", "kg_triples"])
+@pytest.mark.parametrize(
+    "name", ["kg_winners", "kg_winners_annotated", "kg_triples", "kg_external_winners"]
+)
 def test_kg_oracle(ray_session, name):
-    """The fused detect+score kernel (plain and prefer-annotated winners)
-    and the triples built on it match their DuckDB oracles."""
+    """The fused detect+score kernel (plain and prefer-annotated winners),
+    the triples built on it, and the groupby scorer over an external
+    candidate table match their DuckDB oracles."""
     _assert_matches_oracle(name)
 
 
