@@ -36,7 +36,6 @@ __version__ = "0.1.0"
 
 # Driver-side guard against Ray 2.49's empty-block hash-join poisoning (the
 # round-3 flaky kg_kcore failure).  Must be live before the first join plan
-# is built; see the docstring in stages/partitioning.py for the root cause.
-from ahrd_ray.stages.partitioning import install_shuffle_schema_guard as _guard
-
-_guard()
+# is built; importing stages/partitioning.py installs it (see its docstring
+# for the root cause).
+from ahrd_ray.stages import partitioning as _partitioning  # noqa: F401

@@ -52,15 +52,3 @@ def f_beta_score(assigned: set[str], reference: set[str], beta: float = 1.0) -> 
             b2 = beta * beta
             score = (1 + b2) * (pr * rc) / (b2 * pr + rc)
     return score
-
-
-def precision_recall(
-    produced: set, gold: set
-) -> tuple[float, float]:
-    """Set-level P/R used for the triple-level >=0.95 gate."""
-    if not produced:
-        return (1.0 if not gold else 0.0, 0.0 if gold else 1.0)
-    inter = len(produced & gold)
-    p = inter / len(produced)
-    r = inter / len(gold) if gold else 1.0
-    return p, r

@@ -211,21 +211,6 @@ def class_incidence(offsets: np.ndarray, codes: np.ndarray, n_tokens: int) -> np
     return inc
 
 
-REQUIRED_CANDIDATE_COLUMNS = [
-    "doc_id",
-    "source",
-    "cand_ord",
-    "e_rank",
-    "match_score",
-    "span_start",
-    "span_end",
-    "cand_start",
-    "cand_end",
-    "ingest_seq",
-    "doc_len",
-]
-
-
 def dedup_valid_candidates(df: pd.DataFrame, catalog: CatalogArrays) -> pd.DataFrame:
     """M8 validity + S4 HSP dedup.
 
@@ -425,7 +410,8 @@ def score_partition(
 ) -> pd.DataFrame | tuple[pd.DataFrame, pd.DataFrame]:
     """Score every document present in ``df`` and return one winner row each.
 
-    ``df`` holds slim candidate rows (REQUIRED_CANDIDATE_COLUMNS).  All docs
+    ``df`` holds slim candidate rows (doc_id, source, cand_ord, e_rank,
+    match_score, span/cand bounds, ingest_seq, doc_len).  All docs
     of the partition are processed with vectorized column ops; steps map to
     the reference as annotated inline.  ``annotated_shorts`` enables the
     prefer-annotated winner restriction (DescriptionScoreCalculator.java:89-98).

@@ -13,8 +13,6 @@ from __future__ import annotations
 import html as _html
 import re
 
-EXTRACTOR_VERSION = "1"
-
 _ARTICLE_RE = re.compile(rb"<article\b[^>]*>(.*?)</article>", re.DOTALL)
 _TAG_RE = re.compile(r"<[^>]+>")
 

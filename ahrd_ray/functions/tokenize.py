@@ -17,13 +17,6 @@ from ahrd_ray.functions.regexes import token_passes_blacklist
 _SPLITTER = re.compile(TOKEN_SPLITTER_REGEX)
 
 
-def split_raw(description: str) -> list[str]:
-    """Raw splitter output (lowercased, empties dropped, duplicates kept in
-    order of first appearance is NOT guaranteed — callers wanting sets use
-    :func:`tokenize`)."""
-    return [t for t in _SPLITTER.split(description.lower()) if t]
-
-
 def tokenize(description: str, token_blacklist: list) -> set[str]:
     """M3 — TokenScoreCalculator.tokenize (java :54-64).
 

@@ -28,7 +28,7 @@ stage runs on plain tasks; per-worker state is cached by
 
 from __future__ import annotations
 
-from functools import lru_cache
+import os
 
 import pyarrow as pa
 
@@ -46,7 +46,7 @@ from ahrd_ray.sources import spec
 from ahrd_ray.sources.tables import corpus_vocab_bottomk, read_documents
 from ahrd_ray.stages.candidates import FusedMentionScorer, MentionDetector
 from ahrd_ray.stages.canonicalize import materialize_graph
-from ahrd_ray.stages.score import per_worker
+from ahrd_ray.stages.score import per_worker, session_cached
 
 
 def extract_text_batch(batch: pa.Table) -> pa.Table:
@@ -94,13 +94,15 @@ class PipelineContext:
         return frozenset(k for k in self.attrs if k in present)
 
 
-@lru_cache(maxsize=8)
-def cached_context(sf_dir: str) -> PipelineContext:
-    """Process-wide default-config context cache: the broadcast catalog is
-    built and ``ray.put`` ONCE per sf_dir, however many registry queries /
-    graph stages run in the session (the catalog build + broadcast is a
-    multi-second setup at sf0.1 and pure overhead when repeated)."""
-    return PipelineContext(sf_dir)
+def cached_context(sf_dir: str, cfg: EngineConfig = DEFAULT_CONFIG) -> PipelineContext:
+    """Session-wide context cache: the broadcast catalog is built and
+    ``ray.put`` ONCE per (sf_dir, cfg) and Ray session, however many
+    registry queries / graph stages run in it (the catalog build +
+    broadcast is a multi-second setup at sf0.1 and pure overhead when
+    repeated)."""
+    return session_cached(
+        ("context", os.path.abspath(sf_dir), cfg), lambda: PipelineContext(sf_dir, cfg)
+    )
 
 
 def candidates_dataset(ctx: PipelineContext, from_pages: bool = True) -> ray.data.Dataset:

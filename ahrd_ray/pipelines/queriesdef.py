@@ -9,7 +9,6 @@ values.
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import lru_cache
 
 import numpy as np
 import pandas as pd
@@ -53,13 +52,6 @@ def _int64(table: pa.Table) -> pa.Table:
     return table.cast(pa.schema(fields)).replace_schema_metadata(None)
 
 
-@lru_cache(maxsize=8)
-def _ctx(sf_dir: str, key: str = "default") -> kg.PipelineContext:
-    if key == "topk5":
-        return kg.PipelineContext(sf_dir, EngineConfig(top_k=5))
-    return kg.cached_context(sf_dir)  # shared with the graph stages
-
-
 def q_pages_extract(sf_dir: str):
     return kg.pages_dataset(sf_dir).map_batches(
         lambda b: pa.table(
@@ -84,7 +76,7 @@ def q_vocab(sf_dir: str):
 
 
 def q_catalog(sf_dir: str):
-    b = _ctx(sf_dir).bundle
+    b = kg.cached_context(sf_dir).bundle
     a = b.arrays
     return pa.table(
         {
@@ -101,7 +93,7 @@ def q_catalog(sf_dir: str):
 
 
 def q_catalog_tokens(sf_dir: str):
-    a = _ctx(sf_dir).bundle.arrays
+    a = kg.cached_context(sf_dir).bundle.arrays
     ords = np.repeat(np.arange(len(a.cand_id)), a.n_tokens)
     toks = a.token_names[a.token_codes]
     return pa.table(
@@ -128,16 +120,17 @@ _CAND_COLS = [
 
 
 def q_candidates(sf_dir: str):
-    ctx = _ctx(sf_dir)
+    ctx = kg.cached_context(sf_dir)
     ds = kg.candidates_dataset(ctx).select_columns(_CAND_COLS)
     return ds.map_batches(_int64, batch_format="pyarrow")
 
 
-def _group_query(sf_dir: str, table_fn, out_cols: list[str], cfg_key: str = "default"):
+def _group_query(
+    sf_dir: str, table_fn, out_cols: list[str], cfg: EngineConfig = DEFAULT_CONFIG
+):
     """Run a per-partition kernel helper as the groupby(spart) stage."""
-    ctx = _ctx(sf_dir, cfg_key)
+    ctx = kg.cached_context(sf_dir, cfg)
     catalog_ref = ctx.catalog_ref
-    cfg = ctx.cfg
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         from ahrd_ray.stages.score import get_broadcast
@@ -165,7 +158,7 @@ def q_top_k(sf_dir: str):
         sf_dir,
         top_k_table,
         ["doc_id", "source", "cand_ord", "e_rank", "match_score"],
-        cfg_key="topk5",
+        cfg=EngineConfig(top_k=5),
     )
 
 
@@ -193,13 +186,13 @@ _WINNER_COLS = [
 def q_winners(sf_dir: str):
     # fused zero-shuffle path; the groupby scorer for external candidate
     # tables (kg_external_winners) matches the same oracle
-    ctx = _ctx(sf_dir)
+    ctx = kg.cached_context(sf_dir)
     ds = kg.winners_dataset_fused(ctx).select_columns(_WINNER_COLS)
     return ds.map_batches(_int64, batch_format="pyarrow")
 
 
 def q_winners_annotated(sf_dir: str):
-    ctx = _ctx(sf_dir)
+    ctx = kg.cached_context(sf_dir)
     cols = ["doc_id", "source", "cand_id", "cand_short", "description", "description_score"]
     ds = kg.winners_dataset_fused(ctx, prefer_annotated=True).select_columns(cols)
     return ds.map_batches(_int64, batch_format="pyarrow")
@@ -208,7 +201,7 @@ def q_winners_annotated(sf_dir: str):
 def q_attrs_present(sf_dir: str):
     """Attr map semi-joined to catalog shorts present among valid candidate
     links (S5/S7 analogue)."""
-    ctx = _ctx(sf_dir)
+    ctx = kg.cached_context(sf_dir)
     a = ctx.bundle.arrays
     cands = kg.candidates_dataset(ctx).select_columns(["cand_ord"])
     ords = np.asarray(cands.unique("cand_ord"), dtype=np.int64)
@@ -234,7 +227,7 @@ def _external_parsed(sf_dir: str):
     reader (validateDouble, comment skip, doc_len join)."""
     from ahrd_ray.sources.external import read_candidate_table, write_external_fixture
 
-    ctx = _ctx(sf_dir)
+    ctx = kg.cached_context(sf_dir)
     path = write_external_fixture(ctx)
     return ctx, read_candidate_table(path, sf_dir, ctx.catalog_ref, ctx.cfg)
 
@@ -250,7 +243,7 @@ def q_external_quarantine(sf_dir: str):
         write_corrupt_fixture,
     )
 
-    ctx = _ctx(sf_dir)
+    ctx = kg.cached_context(sf_dir)
     path = write_corrupt_fixture(ctx)
     return quarantine_candidate_table(path, ctx.catalog_ref)
 
@@ -268,7 +261,7 @@ def q_external_winners(sf_dir: str):
 
 
 def q_triples(sf_dir: str):
-    ctx = _ctx(sf_dir)
+    ctx = kg.cached_context(sf_dir)
     return kg.kg_triples(ctx)
 
 
@@ -276,7 +269,7 @@ def q_annotations(sf_dir: str):
     """Per-doc annotation table incl. unknown docs (left outer join)."""
     import ray.data
 
-    ctx = _ctx(sf_dir)
+    ctx = kg.cached_context(sf_dir)
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
     winners = kg.winners_dataset_fused(ctx).select_columns(
         ["doc_id", "cand_id", "description", "description_score"]
@@ -1202,7 +1195,9 @@ def _eval_queries() -> dict[str, tuple[Callable, str | None]]:
     cfg = DEFAULT_CONFIG
     return {
         "ev_scores": (
-            lambda sf: eval_scores(_ctx(sf)).map_batches(_int64, batch_format="pyarrow"),
+            lambda sf: eval_scores(kg.cached_context(sf)).map_batches(
+                _int64, batch_format="pyarrow"
+            ),
             oracle.sql_eval_scores(cfg),
         ),
         # eval summary broken down by document language — the per-slice
@@ -1211,7 +1206,7 @@ def _eval_queries() -> dict[str, tuple[Callable, str | None]]:
         "ev_by_lang": (
             lambda sf: __import__(
                 "ahrd_ray.stages.evaluate", fromlist=["x"]
-            ).eval_scores_by_lang(_ctx(sf)),
+            ).eval_scores_by_lang(kg.cached_context(sf)),
             oracle.sql_eval_by_lang(cfg),
         ),
         # McNemar-style paired test vs the best competitor (sign counts +
@@ -1219,7 +1214,7 @@ def _eval_queries() -> dict[str, tuple[Callable, str | None]]:
         "ev_mcnemar": (
             lambda sf: __import__(
                 "ahrd_ray.stages.evaluate", fromlist=["x"]
-            ).mcnemar_vs_competitor(_ctx(sf)),
+            ).mcnemar_vs_competitor(kg.cached_context(sf)),
             oracle.sql_mcnemar(cfg),
         ),
         # map-reduce Poisson bootstrap: the eval-score confidence
@@ -1228,11 +1223,11 @@ def _eval_queries() -> dict[str, tuple[Callable, str | None]]:
         "ev_bootstrap": (
             lambda sf: __import__(
                 "ahrd_ray.stages.evaluate", fromlist=["x"]
-            ).bootstrap_scores(_ctx(sf)),
+            ).bootstrap_scores(kg.cached_context(sf)),
             oracle.sql_ev_bootstrap(cfg),
         ),
         "ev_summary": (
-            lambda sf: eval_summary(_ctx(sf)),
+            lambda sf: eval_summary(kg.cached_context(sf)),
             oracle.sql_eval_summary(cfg),
         ),
         # acceptance curve: docs at-or-above each score threshold t/10 —
@@ -1240,7 +1235,7 @@ def _eval_queries() -> dict[str, tuple[Callable, str | None]]:
         "ev_threshold_curve": (
             lambda sf: __import__(
                 "ahrd_ray.stages.evaluate", fromlist=["x"]
-            ).eval_threshold_curve(_ctx(sf)),
+            ).eval_threshold_curve(kg.cached_context(sf)),
             oracle.sql_eval_threshold_curve(cfg),
         ),
         # S10/S11 file form: gold sets read from a references FASTA and
@@ -1277,7 +1272,7 @@ def _q_eval_file(sf_dir: str):
         write_gold_fixture,
     )
 
-    ctx = _ctx(sf_dir)
+    ctx = kg.cached_context(sf_dir)
     gold_dir = write_gold_fixture(sf_dir)
     annot_dir = write_annot_fixture(sf_dir)
     return eval_scores_file(ctx, gold_dir, annot_dir).map_batches(
@@ -1474,7 +1469,7 @@ def _kg_queries(cfg) -> dict[str, tuple[Callable, str | None]]:
         # incremental-KG-refresh diff: winners recomputed over a synthetic
         # re-crawl, joined and diffed against the current snapshot
         "kg_snapshot_delta": (
-            lambda sf: kg.winner_delta(_ctx(sf)).map_batches(
+            lambda sf: kg.winner_delta(kg.cached_context(sf)).map_batches(
                 _int64, batch_format="pyarrow"
             ),
             oracle.sql_winner_delta(cfg),

@@ -167,9 +167,9 @@ def train(
     best row flagged).  The last row holds the best parameters found."""
     import ray.data
 
-    from ahrd_ray.pipelines.kg import PipelineContext, candidates_dataset
+    from ahrd_ray.pipelines.kg import cached_context, candidates_dataset
 
-    ctx = PipelineContext(sf_dir)
+    ctx = cached_context(sf_dir)
     num_parts = ctx.cfg.num_score_partitions
 
     def with_gold_col(batch: pa.Table) -> pa.Table:
@@ -296,9 +296,9 @@ def grid_search(
     SQL-oracle-gated (one eval-chain replica per combo)."""
     import ray.data
 
-    from ahrd_ray.pipelines.kg import PipelineContext, candidates_dataset
+    from ahrd_ray.pipelines.kg import cached_context, candidates_dataset
 
-    ctx = PipelineContext(sf_dir)
+    ctx = cached_context(sf_dir)
     num_parts = ctx.cfg.num_score_partitions
 
     def with_gold_col(batch: pa.Table) -> pa.Table:

@@ -51,14 +51,7 @@ from ahrd_ray.functions.hash61 import (
     _mul_base,
 )
 
-MERSENNE61 = (1 << 61) - 1
-_POLY_BASE = 1000003
 _SPACE = np.uint64(32)  # ord(" ") — the shingle join byte
-
-
-def polyhash_tokens(tokens) -> np.ndarray:
-    """Deterministic 61-bit hash per token (vectorized, seedless)."""
-    return polyhash_arr(tokens)
 
 
 def _bpow_table(max_len: int) -> np.ndarray:
@@ -466,15 +459,6 @@ _BUCKET_K = np.uint64(0x9E3779B97F4A7C15) % M61
 _SIG_CHUNK_ROWS = 200_000  # shingle rows per vectorized signature chunk
 
 
-def minhash_signature(sh: np.ndarray) -> np.ndarray:
-    """64 minhashes of a shingle-hash set (universal-hash family)."""
-    if len(sh) == 0:
-        return np.full(N_HASHES, np.iinfo(np.uint64).max, dtype=np.uint64)
-    # (n_shingles, n_hashes): h_i(x) = (a_i * x + b_i) mod 2^64
-    v = sh[:, None] * _A[None, :] + _B[None, :]
-    return v.min(axis=0)
-
-
 def _band_buckets(sig: np.ndarray) -> np.ndarray:
     """(n_docs, 64) signatures -> (n_docs, N_BANDS) int64 bucket ids.
 
@@ -704,26 +688,10 @@ def _lsh_pairs_from_banded(
 # SimHash
 # ---------------------------------------------------------------------------
 
-def simhash64(tokens: list[str]) -> int:
-    """Classic 64-bit simhash over token hashes (unweighted)."""
-    if not tokens:
-        return 0
-    hs = polyhash_arr(tokens)
-    bits = ((hs[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & np.uint64(1)).astype(
-        np.int64
-    )
-    votes = (2 * bits - 1).sum(axis=0)
-    out = np.uint64(0)
-    for i in range(64):
-        if votes[i] > 0:
-            out |= np.uint64(1) << np.uint64(i)
-    return int(out.astype(np.int64))
-
-
 def _simhash_batch(batch: pa.Table) -> pa.Table:
     """Vectorized simhash: one flat word-hash pass + 64 weighted bincounts
-    (hash bits 61..63 are always 0, so those bits never set — matching the
-    61-bit token hash domain of the scalar kernel)."""
+    (hash bits 61..63 are always 0, so those bits never set: token hashes
+    are 61-bit)."""
     flat, counts = _word_split(batch["text"])
     h = polyhash_arr(flat)
     row = np.repeat(np.arange(len(counts), dtype=np.int64), counts)

@@ -36,23 +36,19 @@ from ahrd_ray.functions.scoring import (
     score_partition,
     top_k_mask,
 )
-from ahrd_ray.functions.tokenize import tokenize
-from ahrd_ray.stages.score import get_broadcast
+from ahrd_ray.stages.score import _CACHE, _remember, get_broadcast
 
 GOLD_PREFIX_CHARS = 40
-
-
-def gold_tokens_of(text: str) -> frozenset[str]:
-    return frozenset(tokenize(text[:GOLD_PREFIX_CHARS].lower(), []))
 
 
 def gold_token_pairs(texts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized gold tokenization of a text column.
 
     Returns (row_idx, token) exploded DISTINCT pairs plus the per-row gold
-    set size — identical sets to ``gold_tokens_of`` per row (verified by
-    the ev_scores oracle), computed with Arrow slice/lower/split kernels
-    instead of a per-row Python tokenize."""
+    set size.  A row's gold set is the evaluation tokenization of its first
+    ``GOLD_PREFIX_CHARS`` characters, lowercased (checked by the ev_scores
+    oracle), computed with Arrow slice/lower/split kernels instead of a
+    per-row Python tokenize."""
     import pyarrow.compute as pc
 
     from ahrd_ray.config import TOKEN_SPLITTER_REGEX
@@ -76,24 +72,20 @@ def gold_token_pairs(texts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return dd["row"].to_numpy(), dd["token"].to_numpy(), n_gold
 
 
-# per-worker cache: bundle -> exploded (cand_ord, token) eval-token frame +
-# per-ord set sizes.  Keyed by id() with the bundle held as value so the id
-# can never be recycled; one bundle lives per worker process.
-_EVAL_TOKEN_FRAMES: dict = {}
-
-
 def eval_token_frame(bundle) -> tuple[pd.DataFrame, np.ndarray]:
-    got = _EVAL_TOKEN_FRAMES.get(id(bundle))
-    if got is not None:
-        return got[1], got[2]
-    ev = bundle.eval_tokens
-    counts = np.fromiter((len(s) for s in ev), dtype=np.int64, count=len(ev))
-    ords = np.repeat(np.arange(len(ev), dtype=np.int64), counts)
-    toks = np.asarray([t for s in ev for t in s], dtype=object)
-    frame = pd.DataFrame({"cand_ord": ords, "token": toks})
-    _EVAL_TOKEN_FRAMES.clear()  # at most one live bundle per worker
-    _EVAL_TOKEN_FRAMES[id(bundle)] = (bundle, frame, counts)
-    return frame, counts
+    """Exploded (cand_ord, token) eval-token frame + per-ord set sizes of a
+    bundle, once per worker process.  Keyed by id() with the bundle held in
+    the cached value, so the id cannot be recycled while the entry lives."""
+    key = ("eval_token_frame", id(bundle))
+    got = _CACHE.get(key)
+    if got is None:
+        ev = bundle.eval_tokens
+        counts = np.fromiter((len(s) for s in ev), dtype=np.int64, count=len(ev))
+        ords = np.repeat(np.arange(len(ev), dtype=np.int64), counts)
+        toks = np.asarray([t for s in ev for t in s], dtype=object)
+        frame = pd.DataFrame({"cand_ord": ords, "token": toks})
+        got = _remember(key, (bundle, frame, counts))
+    return got[1], got[2]
 
 
 def fbeta_vec(tp: np.ndarray, n_assigned: np.ndarray, n_gold: np.ndarray) -> np.ndarray:

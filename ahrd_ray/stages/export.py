@@ -238,12 +238,11 @@ def ntriples_roundtrip(sf_dir: str, scratch: str | None = None) -> ray.data.Data
     import shutil
 
     from ahrd_ray.pipelines import kg
-    from ahrd_ray.pipelines.queriesdef import _ctx
     from ahrd_ray.sources.textsink import LineTextDatasink
 
     scratch = scratch or f"/tmp/ahrd_ray_nt/{abs(hash(sf_dir)) % (1 << 32)}"
     shutil.rmtree(scratch, ignore_errors=True)
-    triples = kg.kg_triples(_ctx(sf_dir)).select_columns(["subj", "pred", "obj"])
+    triples = kg.kg_triples(kg.cached_context(sf_dir)).select_columns(["subj", "pred", "obj"])
     triples.map_batches(ntriples_lines, batch_format="pyarrow").write_datasink(
         LineTextDatasink(scratch, file_format="nt")
     )

@@ -28,19 +28,6 @@ from ahrd_ray.stages.partitioning import n_hash_parts
 logger = logging.getLogger(__name__)
 
 
-def _partial_sum(keys: list[str], sums: dict[str, str], count_col: str | None = None):
-    """Build a map_batches combiner: per-batch groupby-sum."""
-
-    def f(df: pd.DataFrame) -> pd.DataFrame:
-        agg = {out: (src, "sum") for out, src in sums.items()}
-        if count_col:
-            agg[count_col] = (next(iter(sums.values())), "size") if sums else ("_", "size")
-        g = df.groupby(keys, as_index=False).agg(**agg)
-        return g
-
-    return f
-
-
 def _final_sum(keys: list[str], cols: list[str]):
     def f(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby(keys, as_index=False)[cols].sum()

@@ -44,6 +44,8 @@ co-occurrence edges and an integer-exact PageRank over them.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -52,7 +54,8 @@ import ray
 import ray.data
 
 from ahrd_ray.functions.scoring import dedup_valid_candidates
-from ahrd_ray.stages.partitioning import n_hash_parts
+from ahrd_ray.stages.partitioning import n_hash_parts, prune_stats_parents
+from ahrd_ray.stages.score import session_cached
 
 PR_UNIT = 10**9  # rank 1.0 in int64 units
 PR_DAMP_NUM, PR_DAMP_DEN = 85, 100
@@ -215,13 +218,10 @@ def cooccurrence_edges(sf_dir: str, with_span: bool = False) -> ray.data.Dataset
     )
 
 
-_EDGE_CACHE: dict[tuple, ray.data.Dataset] = {}
-
-
 def cached_edges(sf_dir: str, with_span: bool = False) -> ray.data.Dataset:
     """Session-scoped MATERIALIZED co-occurrence edge table, keyed on
-    (sf_dir, with_span) — the ``kg.cached_context`` precedent applied to
-    the edge build (VERDICT r4 item 3).
+    (sf_dir, with_span) through :func:`ahrd_ray.stages.score.session_cached`
+    (VERDICT r4 item 3).
 
     ~15 graph queries consume the same fused detection + capped-pair pass
     (:func:`cooccurrence_edges`); without the cache each re-runs the whole
@@ -232,33 +232,21 @@ def cached_edges(sf_dir: str, with_span: bool = False) -> ray.data.Dataset:
     production run would do by writing the edge stage output once
     (state/checkpoint machinery) and reading it downstream.  Stats parents
     are pruned so iterative consumers don't drag the build's stats DAG."""
-    import os
-
-    from ahrd_ray.stages.partitioning import prune_stats_parents
-
-    key = (os.path.abspath(sf_dir), bool(with_span))
-    ds = _EDGE_CACHE.get(key)
-    if ds is None:
-        ds = cooccurrence_edges(sf_dir, with_span=with_span).materialize()
-        prune_stats_parents(ds)
-        _EDGE_CACHE[key] = ds
-    return ds
+    return session_cached(
+        ("edges", os.path.abspath(sf_dir), bool(with_span)),
+        lambda: prune_stats_parents(
+            cooccurrence_edges(sf_dir, with_span=with_span).materialize()
+        ),
+    )
 
 
 def cached_links(sf_dir: str) -> ray.data.Dataset:
     """Session-scoped materialized (doc_id, cand_ord, epart) link table —
     same rationale as :func:`cached_edges` for the doc->entity relation."""
-    import os
-
-    from ahrd_ray.stages.partitioning import prune_stats_parents
-
-    key = (os.path.abspath(sf_dir), "links")
-    ds = _EDGE_CACHE.get(key)
-    if ds is None:
-        ds = doc_entity_links(sf_dir).materialize()
-        prune_stats_parents(ds)
-        _EDGE_CACHE[key] = ds
-    return ds
+    return session_cached(
+        ("links", os.path.abspath(sf_dir)),
+        lambda: prune_stats_parents(doc_entity_links(sf_dir).materialize()),
+    )
 
 
 # Mention-proximity window (chars between mention start positions) for the

@@ -20,9 +20,6 @@ import ray
 
 logger = logging.getLogger(__name__)
 
-_SCHEMA_GUARD_INSTALLED = False
-
-
 try:  # Ray 2.49 internals; guarded so future-Ray drift degrades gracefully
     from ray.data._internal.execution.operators.join import (
         JoiningShuffleAggregation as _BaseJoinAggregation,
@@ -111,13 +108,10 @@ def install_shuffle_schema_guard() -> None:
 
     Both patches target module internals pinned by the environment's
     ray==2.49.2; each is wrapped in try/except so a future Ray that fixes
-    the bug (or moves the code) degrades to a logged no-op.
+    the bug (or moves the code) degrades to a logged no-op.  Each patch
+    marks what it replaced (``_ahrd_schema_guard``, ``_ahrd_safe``,
+    ``_ahrd_guard``), so a repeated call changes nothing.
     """
-    global _SCHEMA_GUARD_INSTALLED
-    if _SCHEMA_GUARD_INSTALLED:
-        return
-    _SCHEMA_GUARD_INSTALLED = True
-
     try:
         from ray.data._internal.execution.interfaces import RefBundle
         from ray.data._internal.execution.operators.hash_shuffle import (
@@ -262,7 +256,7 @@ def drop_empty_blocks(ds):
     return ds.repartition(n_hash_parts(), shuffle=True)
 
 
-def prune_stats_parents(ds) -> None:
+def prune_stats_parents(ds):
     """Cut a materialized dataset's DatasetStats parent chain (diagnostics
     only — data lineage is already truncated by ``materialize()``).
 
@@ -276,13 +270,14 @@ def prune_stats_parents(ds) -> None:
     -> 3.9 -> 5.4 -> 7.5 -> 12.8 -> 22.3 -> 40.3 -> 85.4 s, with 98 of 150
     profiled driver-seconds inside ``DatasetStats.to_summary``.  Call on
     every per-round materialized dataset of an iterative loop.  Best-effort:
-    a no-op if Ray's internals move."""
+    a no-op if Ray's internals move.  Returns ``ds``."""
     try:
         stats = ds._plan._snapshot_stats
     except AttributeError:  # pragma: no cover - Ray internals drift
-        return
+        return ds
     if stats is not None and getattr(stats, "parents", None):
         stats.parents = []
+    return ds
 
 
 def budgeted_join(

@@ -1,13 +1,21 @@
-"""Per-worker state for plain-task stages, and the doc-keyed group scorer.
+"""Per-process caches for the driver and the workers, and the doc-keyed
+group scorer.
 
-:func:`get_broadcast` reads a broadcast object once per worker process and
-:func:`per_worker` caches one stateful batch callable per worker process —
-together they give every stage the setup-once property of an actor pool on
-ordinary tasks.  :func:`make_group_scorer` is the ``map_groups`` function
-for candidate tables that arrive from outside (operators S4, A1-A10): rows
-hash-partitioned by ``spart = doc_id % cfg.num_score_partitions`` are
-scored by the vectorized kernel across all documents of a partition at
-once, with the catalog read from its broadcast.
+One bounded dict, ``_CACHE``, holds every product and broadcast object
+the engine reuses within a process (only compiled regexes are cached
+elsewhere).  On the driver, :func:`session_cached` builds a product (a
+broadcast catalog context, a materialized edge or link table) once per Ray
+session: the key carries the session, so after ``ray.shutdown(); ray.init()``
+the product is rebuilt instead of handing out ObjectRefs whose owner is
+gone.  On a worker, :func:`get_broadcast` reads a broadcast object once per
+process and :func:`per_worker` caches one stateful batch callable per
+process — together they give every stage the setup-once property of an
+actor pool on ordinary tasks.  :func:`make_group_scorer` is the
+``map_groups`` function for candidate tables that arrive from outside
+(operators S4, A1-A10): rows hash-partitioned by
+``spart = doc_id % cfg.num_score_partitions`` are scored by the vectorized
+kernel across all documents of a partition at once, with the catalog read
+from its broadcast.
 """
 
 from __future__ import annotations
@@ -19,10 +27,11 @@ import ray
 from ahrd_ray.config import EngineConfig
 from ahrd_ray.functions.scoring import score_partition
 
-# Per-worker-process cache shared by get_broadcast (ObjectRef hex ->
-# value) and per_worker ((cls, *args) -> instance).  Bounded like
-# ``cached_context``: the oldest entry goes when a ninth arrives, so a
-# session that builds many contexts does not pin every old catalog.
+# Per-process cache shared by get_broadcast (ObjectRef hex -> value),
+# per_worker ((cls, *args) -> instance) and, on the driver, session_cached
+# (("session", session, key) -> product).  Bounded: the oldest entry goes
+# when a ninth arrives, so a process that builds many contexts does not pin
+# every old catalog.
 _CACHE_MAX = 8
 _CACHE: dict = {}
 
@@ -32,6 +41,36 @@ def _remember(key, value):
         del _CACHE[next(iter(_CACHE))]
     _CACHE[key] = value
     return value
+
+
+def _session() -> tuple[str, str]:
+    # A fresh local cluster reuses the job id, so the node id tells the
+    # sessions apart.
+    rc = ray.get_runtime_context()
+    return rc.get_job_id(), rc.get_node_id()
+
+
+def session_cached(key, build):
+    """``build()`` once per Ray session for ``key`` (driver side).
+
+    The entry is keyed on the session, so a product holding ObjectRefs is
+    rebuilt after a Ray restart instead of raising "owner is unknown"; the
+    first build in a new session drops every other session's entries.  The
+    library never starts Ray itself: when Ray is down, ``build`` runs first
+    (its ``ray.put`` or execution starts Ray) and the result is stored under
+    the session current by then.  A hit moves its entry to the end, so
+    eviction is least-recently-used."""
+    if ray.is_initialized():
+        skey = ("session", _session(), key)
+        value = _CACHE.pop(skey, None)
+        if value is not None:
+            _CACHE[skey] = value
+            return value
+    value = build()
+    session = _session()
+    for k in [k for k in _CACHE if type(k) is tuple and k[0] == "session" and k[1] != session]:
+        del _CACHE[k]
+    return _remember(("session", session, key), value)
 
 
 def get_broadcast(ref):

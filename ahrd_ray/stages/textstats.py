@@ -15,7 +15,6 @@ import pyarrow.compute as pc
 import ray.data
 
 from ahrd_ray.config import QUANT, TOKEN_SPLITTER_REGEX, q20
-from ahrd_ray.stages.dedup import MERSENNE61, _POLY_BASE
 
 STOPWORDS = ("a", "the")
 

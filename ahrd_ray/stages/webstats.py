@@ -25,6 +25,8 @@ replicated from one.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -328,28 +330,22 @@ def host_links(sf_dir: str) -> ray.data.Dataset:
     )
 
 
-_HOST_CACHE: dict = {}
-
-
 def cached_host_links(sf_dir: str) -> "tuple[ray.data.Dataset, np.ndarray]":
     """Session-scoped (materialized host link table, sorted distinct host
-    vector) keyed on sf_dir — the ``graph.cached_edges`` precedent.  Three
-    analytics (PageRank, harmonic, crawl_schedule via PageRank) consume the
-    same aggregated link table; without the cache each re-runs the
-    corpus-sized anchor extraction.  The table is distinct-host-pair-sized
-    and the host vector is the O(|hosts|) broadcast class."""
-    import os
-
+    vector) keyed on sf_dir through
+    :func:`ahrd_ray.stages.score.session_cached`.  Three analytics
+    (PageRank, harmonic, crawl_schedule via PageRank) consume the same
+    aggregated link table; without the cache each re-runs the corpus-sized
+    anchor extraction.  The table is distinct-host-pair-sized and the host
+    vector is the O(|hosts|) broadcast class."""
     from ahrd_ray.stages.partitioning import prune_stats_parents
+    from ahrd_ray.stages.score import session_cached
 
-    key = os.path.abspath(sf_dir)
-    hit = _HOST_CACHE.get(key)
-    if hit is None:
-        links = host_links(sf_dir).materialize()
-        prune_stats_parents(links)
-        hit = (links, _distinct_hosts(links))
-        _HOST_CACHE[key] = hit
-    return hit
+    def build():
+        links = prune_stats_parents(host_links(sf_dir).materialize())
+        return links, _distinct_hosts(links)
+
+    return session_cached(("host_links", os.path.abspath(sf_dir)), build)
 
 
 def host_driver_max() -> int:

@@ -115,9 +115,6 @@ def staged_corpus_dir(sf_dir: str, mult: int) -> str:
 def run_benchmarks(sf_dir: str, num_cpus: int) -> dict:
     import ray
 
-    from ahrd_ray.logutil import silence_empty_block_schema_warnings
-
-    silence_empty_block_schema_warnings()
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=num_cpus, include_dashboard=False)
     from ahrd_ray.pipelines import kg

@@ -78,10 +78,7 @@ def main() -> None:
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=8, include_dashboard=False)
 
-    from ahrd_ray.logutil import silence_empty_block_schema_warnings
     from ahrd_ray.pipelines.queriesdef import registry
-
-    silence_empty_block_schema_warnings()
 
     con = duckdb.connect()
     for t in TABLES:

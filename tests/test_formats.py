@@ -36,14 +36,14 @@ def test_quarantine_flags_exactly_the_injected_defects():
     import numpy as np
     import pandas as pd
 
-    from ahrd_ray.pipelines.queriesdef import _ctx
+    from ahrd_ray.pipelines.kg import cached_context
     from ahrd_ray.sources.external import (
         QUAR_MOD,
         quarantine_candidate_table,
         write_corrupt_fixture,
     )
 
-    ctx = _ctx(SF)
+    ctx = cached_context(SF)
     path = write_corrupt_fixture(ctx)
     got = quarantine_candidate_table(path, ctx.catalog_ref).to_pandas()
 

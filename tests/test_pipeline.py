@@ -658,10 +658,10 @@ def test_per_source_candidate_tables(ray_session, tmp_path):
     different source than the file declares must error."""
     import pytest
 
-    from ahrd_ray.pipelines.queriesdef import _ctx
+    from ahrd_ray.pipelines.kg import cached_context
     from ahrd_ray.sources.external import CandidateTableFormat, read_candidate_tables
 
-    ctx = _ctx(SF)
+    ctx = cached_context(SF)
     a = ctx.bundle.arrays
     import numpy as np
 
